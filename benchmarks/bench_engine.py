@@ -29,6 +29,12 @@ benchmarks/bench_engine.py``, the CI smoke step):
    on the ``serial``, ``thread``, and ``process`` backends yields
    byte-identical cell rows (the thread backend exists because the
    tensor kernels release the GIL).
+5. **Factored equilibrium check.**  On the session bundle game (497,664
+   strategy profiles), the equilibrium-checking sweep — tables built
+   from a fresh lowering included — costs at most
+   :data:`EQ_SWEEP_MAX_RATIO` times the check-free sweep, and its whole
+   result (equilibrium set, extremes, ``optP``) is identical to the
+   per-block deviation-gather kernel the lazy tier keeps.
 
 Wall-clock numbers land in ``results/bench-engine/meta.json``.
 """
@@ -53,8 +59,10 @@ from repro.core import (
     opt_p,
     query,
 )
+from repro.core.lazy import lower_game_lazy
 from repro.core.matrix_game import MatrixGame, bayesian_game_from_state_games
 from repro.core.strategy import per_type_choices
+from repro.core.tensor import lower_game
 from repro.runtime.artifacts import ArtifactStore, cell_to_dict
 from repro.runtime.executor import run_sweep
 
@@ -72,6 +80,10 @@ SESSION_TARGET_SPEEDUP = 2.0
 
 #: Seeded dynamics restarts inside the session bundle.
 SESSION_DYNAMICS_RESTARTS = 16
+
+#: Ceiling on equilibrium-sweep / check-free-sweep time (the per-block
+#: deviation gather the tables replaced ran at ~12x).
+EQ_SWEEP_MAX_RATIO = 2.5
 
 BACKEND_JOBS = 2
 
@@ -256,6 +268,31 @@ def measure_session_speedup():
     return free_seconds, session_seconds, free_values == session_values
 
 
+def measure_sweep_ratio():
+    """(check_free_seconds, eq_seconds, identical_to_gather_kernel).
+
+    Every repetition sweeps a fresh lowering, so the equilibrium timing
+    pays its one-time table build.  The reference result comes from the
+    lazy tier, whose sweep still gathers the (block x deviation) interim
+    matrices per (agent, type) row.
+    """
+    game = session_bundle_game()
+
+    def best_sweep(**options):
+        best_seconds = float("inf")
+        for _ in range(TENSOR_REPEATS):
+            lowered = lower_game(game)
+            start = time.perf_counter()
+            result = lowered.sweep_profiles(10**7, **options)
+            best_seconds = min(best_seconds, time.perf_counter() - start)
+        return best_seconds, result
+
+    social_seconds, _ = best_sweep(check_equilibria=False)
+    eq_seconds, sweep = best_sweep(collect_equilibria=True)
+    gathered = lower_game_lazy(game).sweep_profiles(10**7, collect_equilibria=True)
+    return social_seconds, eq_seconds, sweep == gathered
+
+
 def measure_backend_parity():
     """Run one mid-size sweep on all backends; return rows + timings."""
     sweep = sweep_t1_directed_opt_universal(ks=(2, 3, 4), seeds=(0, 1, 2, 3))
@@ -280,6 +317,8 @@ def run_benchmark():
     dynamics_speedup = dyn_reference / max(dyn_tensor, 1e-9)
     free_seconds, session_seconds, session_identical = measure_session_speedup()
     session_speedup = free_seconds / max(session_seconds, 1e-9)
+    social_seconds, eq_seconds, eq_identical = measure_sweep_ratio()
+    eq_ratio = eq_seconds / max(social_seconds, 1e-9)
     cells, encoded, backend_seconds = measure_backend_parity()
     backends_identical = (
         encoded["thread"] == encoded["process"] == encoded["serial"]
@@ -302,6 +341,11 @@ def run_benchmark():
         "session_target_speedup": SESSION_TARGET_SPEEDUP,
         "session_dynamics_restarts": SESSION_DYNAMICS_RESTARTS,
         "session_values_identical": session_identical,
+        "sweep_social_seconds": round(social_seconds, 4),
+        "sweep_eq_seconds": round(eq_seconds, 4),
+        "sweep_eq_ratio": round(eq_ratio, 2),
+        "sweep_eq_max_ratio": EQ_SWEEP_MAX_RATIO,
+        "sweep_eq_identical": eq_identical,
         "backend_jobs": BACKEND_JOBS,
         "backend_seconds": {
             backend: round(value, 3) for backend, value in backend_seconds.items()
@@ -319,10 +363,12 @@ def test_engine_speedup_and_backend_parity(record):
     assert meta["equilibrium_sets_equal"]
     assert meta["dynamics_fixed_points_identical"]
     assert meta["session_values_identical"]
+    assert meta["sweep_eq_identical"]
     assert meta["backends_identical"]
     assert meta["speedup"] >= TARGET_SPEEDUP, meta
     assert meta["dynamics_speedup"] >= DYNAMICS_TARGET_SPEEDUP, meta
     assert meta["session_speedup"] >= SESSION_TARGET_SPEEDUP, meta
+    assert meta["sweep_eq_ratio"] <= EQ_SWEEP_MAX_RATIO, meta
 
 
 def main() -> int:
@@ -336,6 +382,12 @@ def main() -> int:
         return 1
     if not meta["session_values_identical"]:
         print("FAIL: session bundle and free-function values differ", file=sys.stderr)
+        return 1
+    if not meta["sweep_eq_identical"]:
+        print(
+            "FAIL: factored equilibrium check differs from the gather kernel",
+            file=sys.stderr,
+        )
         return 1
     if not meta["backends_identical"]:
         print("FAIL: backends disagree on cell rows", file=sys.stderr)
@@ -360,10 +412,18 @@ def main() -> int:
             file=sys.stderr,
         )
         return 1
+    if meta["sweep_eq_ratio"] > EQ_SWEEP_MAX_RATIO:
+        print(
+            f"FAIL: equilibrium sweep {meta['sweep_eq_ratio']}x the check-free "
+            f"sweep, above the {EQ_SWEEP_MAX_RATIO}x ceiling",
+            file=sys.stderr,
+        )
+        return 1
     print(
         f"OK: {meta['speedup']}x equilibrium speedup, "
         f"{meta['dynamics_speedup']}x dynamics speedup, "
         f"{meta['session_speedup']}x session-bundle speedup, "
+        f"equilibrium sweep {meta['sweep_eq_ratio']}x the check-free sweep, "
         "backends byte-identical"
     )
     return 0

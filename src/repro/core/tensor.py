@@ -24,8 +24,9 @@ form once, then reimplements the hot paths as batched array kernels:
 * Strategy-profile sweeps (``optP``, Bayesian-equilibrium enumeration and
   extreme costs) run over *blocks* of consecutive profile indices:
   social costs ``K(s)`` come from gathers into per-state social-cost
-  vectors, and the interim equilibrium conditions from batched
-  deviation-matrix minima.  No temporary allocation exceeds
+  vectors, and the interim equilibrium conditions from one boolean
+  gather per (agent, type) row into best-response tables built once per
+  lowering (:func:`equilibrium_tables`).  No temporary allocation exceeds
   :data:`BLOCK_CELLS` cells, and the reference explosion guards
   (``max_profiles`` / ``max_action_profiles``) apply unchanged.
 
@@ -443,6 +444,122 @@ class ProfileSweep:
     eq_indices: Optional[List[int]] = None
 
 
+class _RowTable:
+    """The factored equilibrium check of one (agent, positive type) row.
+
+    ``good[g, c]`` says whether, in lane ``g``, the agent's current
+    action at this type is an interim best response when the row's
+    conditional states sit at the joint cell ``c`` — the mixed-radix
+    product of the states' flat cells, taken in conditional-state order.
+    ``bad[g, c]`` flags the cells whose whole interim row is ``+inf``
+    (the reference error path); it is ``None`` when no cell is bad.
+    """
+
+    __slots__ = ("states", "strides", "good", "bad")
+
+    def __init__(self, states, strides, good, bad) -> None:
+        self.states = states
+        self.strides = strides
+        self.good = good
+        self.bad = bad
+
+    def cells(self, state_flat: List[np.ndarray]) -> np.ndarray:
+        """Joint cell of every profile in a block, from its state cells."""
+        if len(self.states) == 1:
+            return state_flat[self.states[0]]
+        joint = state_flat[self.states[0]] * self.strides[0]
+        for s, stride in zip(self.states[1:], self.strides[1:]):
+            joint = joint + state_flat[s] * stride
+        return joint
+
+
+def _row_table(
+    template: "TensorGame",
+    agent: int,
+    cond_states: List[int],
+    n_dev: int,
+    state_costs: Sequence[np.ndarray],
+    weights: np.ndarray,
+) -> _RowTable:
+    """Build one row's :class:`_RowTable` over stacked lanes.
+
+    State ``j``'s flat cell splits around the agent's digit into
+    ``(h_j, d_j, l_j)``, so the joint cells span the axes
+    ``(G, H_1, D_1, L_1, ..., H_m, D_m, L_m)``.  The deviation runs on
+    ``D_1``; every other ``D_j`` stays 1 while the interim cost is folded
+    exactly as the per-profile check folds it (``0.0 + q1*x1``, then
+    ``+= q2*x2``, ...).  So every ``best`` and every current cost (read
+    at ``d_1``, the agent's own digit), and hence every ``lt_array``
+    verdict, is bit-identical to the check it replaces.  The verdicts
+    then broadcast over the other ``D_j``: the sweep only visits cells
+    where all the ``d_j`` agree.
+    """
+    group = weights.shape[0]
+    states = [template.state_tensors[s] for s in cond_states]
+    full = [group]
+    for state in states:
+        stride = state.strides[agent]
+        full += [state.size // (stride * n_dev), n_dev, stride]
+    folded = [1 if axis % 3 == 2 and axis > 2 else n for axis, n in enumerate(full)]
+    interim = np.zeros(folded, dtype=float)
+    for j, s in enumerate(cond_states):
+        placed = [group] + [1] * (len(full) - 1)
+        placed[1 + 3 * j] = full[1 + 3 * j]
+        placed[2] = n_dev
+        placed[3 + 3 * j] = full[3 + 3 * j]
+        costs = state_costs[s][:, agent].reshape(group, -1, n_dev, full[3 + 3 * j])
+        if j:
+            costs = np.moveaxis(costs, 2, 1)
+        lane_weights = weights[:, j].reshape((group,) + (1,) * (len(full) - 1))
+        interim += lane_weights * costs.reshape(placed)
+    best = interim.min(axis=2, keepdims=True)
+    good = ~lt_array(best, interim)
+    bad = ~(best < np.inf)
+    return _RowTable(
+        cond_states,
+        _c_strides([state.size for state in states]),
+        np.broadcast_to(good, full).reshape(group, -1),
+        np.broadcast_to(bad, full).reshape(group, -1) if bad.any() else None,
+    )
+
+
+def equilibrium_tables(
+    template: "TensorGame",
+    state_costs: Sequence[np.ndarray],
+    cond_weights: Sequence[Sequence[np.ndarray]],
+) -> List[List[Optional[_RowTable]]]:
+    """Per (agent, conditional row): the factored equilibrium check.
+
+    ``state_costs[s]`` is the ``(G, k, N_s)`` cost stack of state ``s``
+    and ``cond_weights[i][r]`` the ``(G, m)`` posterior weights of row
+    ``r`` of agent ``i`` (``G = 1`` for a single game).  A row over one
+    state costs O(cells) and is always tabled (a support state never has
+    more cells than the game has strategy profiles).  A row over several
+    states is tabled over the product of their cells only while
+    ``G * prod(sizes) * n_dev`` stays within :data:`BLOCK_CELLS` and
+    ``prod(sizes)`` does not exceed the profile count (past that, the
+    table costs more to build than the gather it saves).  Other rows come
+    back ``None`` and the sweeps keep the per-block deviation gather.
+    """
+    group = state_costs[0].shape[0]
+    profiles = template.profile_count()
+    tables: List[List[Optional[_RowTable]]] = []
+    for i, rows in enumerate(template._cond):
+        built: List[Optional[_RowTable]] = []
+        for (_tpos, cond_states, _w, n_dev), weights in zip(rows, cond_weights[i]):
+            cells = product_size(template.state_tensors[s].size for s in cond_states)
+            if len(cond_states) > 1 and (
+                cells > profiles or group * cells * n_dev > BLOCK_CELLS
+            ):
+                built.append(None)
+                continue
+            built.append(
+                _row_table(template, i, cond_states, n_dev, state_costs, weights)
+            )
+        tables.append(built)
+    return tables
+
+
 class TensorGame:
     """A :class:`BayesianGame` lowered to index-encoded NumPy form."""
 
@@ -503,6 +620,7 @@ class TensorGame:
             list(game.prior.positive_types(i)) for i in range(game.num_agents)
         ]
         self._interim_tables: Optional[List[List[Tuple]]] = None
+        self._eq_tables: Optional[List[List[Optional[_RowTable]]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -526,6 +644,18 @@ class TensorGame:
         )
         return max(1, min(1 << 16, BLOCK_CELLS // widest))
 
+    def _equilibrium_tables(self) -> List[List[Optional[_RowTable]]]:
+        """This game's :func:`equilibrium_tables` (one lane), built on
+        the first equilibrium-checking sweep and cached on the lowering
+        (so :func:`drop_lowering` frees them with it)."""
+        if self._eq_tables is None:
+            self._eq_tables = equilibrium_tables(
+                self,
+                [state.costs[None] for state in self.state_tensors],
+                [[row[2][None] for row in rows] for rows in self._cond],
+            )
+        return self._eq_tables
+
     # ------------------------------------------------------------------
     # the blocked profile sweep
     # ------------------------------------------------------------------
@@ -537,9 +667,9 @@ class TensorGame:
     ) -> ProfileSweep:
         """One pass computing ``optP`` and equilibrium extreme costs.
 
-        ``check_equilibria=False`` skips the interim-condition matrices
-        entirely (for ``optP``/argmin-only callers); the equilibrium
-        fields then report nothing found.  Raises
+        ``check_equilibria=False`` skips the equilibrium check entirely
+        (for ``optP``/argmin-only callers; the tables are never built);
+        the equilibrium fields then report nothing found.  Raises
         :class:`ExplosionError` exactly when the reference
         strategy-profile enumeration would.
         """
@@ -558,6 +688,7 @@ class TensorGame:
         worst_eq = float("-inf")
         eq_found = False
         eq_indices: Optional[List[int]] = [] if collect_equilibria else None
+        tables = self._equilibrium_tables() if check_equilibria else None
 
         for lo in range(0, total, block):
             hi = min(total, lo + block)
@@ -582,31 +713,43 @@ class TensorGame:
             if block_min < opt:
                 opt = block_min
                 argmin = lo + int(social.argmin())
-            if not check_equilibria:
+            if tables is None:
                 continue
 
             ok = np.ones(hi - lo, dtype=bool)
             for i in range(k):
-                for tpos, cond_states, weights, n_dev in self._cond[i]:
-                    own = (
-                        strat[i] // self.agents[i].strides[tpos]
-                    ) % self.agents[i].radix[tpos]
-                    deviations = np.arange(n_dev, dtype=np.int64)
-                    interim = np.zeros((hi - lo, n_dev), dtype=float)
-                    for s, q in zip(cond_states, weights):
-                        state = self.state_tensors[s]
-                        others = state_flat[s] - state.strides[i] * own
-                        interim += q * state.costs[i][
-                            others[:, None] + state.strides[i] * deviations[None, :]
-                        ]
-                    current = interim[np.arange(hi - lo), own]
-                    best = interim.min(axis=1)
+                for (tpos, cond_states, weights, n_dev), table in zip(
+                    self._cond[i], tables[i]
+                ):
+                    if table is not None:
+                        cells = table.cells(state_flat)
+                        good = table.good[0][cells]
+                        bad = None if table.bad is None else table.bad[0][cells]
+                    else:
+                        # Joint row over the table guard: gather the
+                        # (block x n_dev) interim matrix directly.
+                        own = (
+                            strat[i] // self.agents[i].strides[tpos]
+                        ) % self.agents[i].radix[tpos]
+                        deviations = np.arange(n_dev, dtype=np.int64)
+                        interim = np.zeros((hi - lo, n_dev), dtype=float)
+                        for s, q in zip(cond_states, weights):
+                            state = self.state_tensors[s]
+                            others = state_flat[s] - state.strides[i] * own
+                            interim += q * state.costs[i][
+                                others[:, None]
+                                + state.strides[i] * deviations[None, :]
+                            ]
+                        current = interim[np.arange(hi - lo), own]
+                        best = interim.min(axis=1)
+                        good = ~lt_array(best, current)
+                        bad = ~(best < np.inf)
                     # Reference error path: a type whose whole interim row
                     # is +inf has no selectable best response — it raises,
                     # unless an earlier (agent, type) already improved.
-                    if np.logical_and(ok, ~(best < np.inf)).any():
+                    if bad is not None and np.logical_and(ok, bad).any():
                         raise RuntimeError("agent has no feasible actions")
-                    ok &= ~lt_array(best, current)
+                    ok &= good
 
             if ok.any():
                 eq_found = True
@@ -1035,6 +1178,11 @@ class BatchTensorGame:
         )
         alive = np.ones(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
+        tables = (
+            equilibrium_tables(template, state_costs, cond_weights)
+            if check_equilibria
+            else None
+        )
 
         for lo in range(0, total, block):
             hi = min(total, lo + block)
@@ -1061,43 +1209,50 @@ class BatchTensorGame:
                 positions = social.argmin(axis=1)
                 argmin = np.where(improved, lo + positions, argmin)
                 opt = np.where(improved, block_min, opt)
-            if not check_equilibria:
+            if tables is None:
                 continue
 
             ok = np.ones((group, hi - lo), dtype=bool)
             for i in range(k):
                 agent = template.agents[i]
-                for (tpos, cond_states, _w, n_dev), weights in zip(
-                    template._cond[i], cond_weights[i]
+                for (tpos, cond_states, _w, n_dev), weights, table in zip(
+                    template._cond[i], cond_weights[i], tables[i]
                 ):
-                    own = (strat[i] // agent.strides[tpos]) % agent.radix[tpos]
-                    deviations = np.arange(n_dev, dtype=np.int64)
-                    interim = np.zeros((group, hi - lo, n_dev), dtype=float)
-                    for position, s in enumerate(cond_states):
-                        state = template.state_tensors[s]
-                        others = state_flat[s] - state.strides[i] * own
-                        cells = (
-                            others[:, None]
-                            + state.strides[i] * deviations[None, :]
-                        )
-                        interim += (
-                            weights[:, position, None, None]
-                            * state_costs[s][:, i, :][:, cells]
-                        )
-                    current = interim[:, np.arange(hi - lo), own]
-                    best = interim.min(axis=2)
+                    if table is not None:
+                        cells = table.cells(state_flat)
+                        good = table.good[:, cells]
+                        bad = None if table.bad is None else table.bad[:, cells]
+                    else:
+                        own = (strat[i] // agent.strides[tpos]) % agent.radix[tpos]
+                        deviations = np.arange(n_dev, dtype=np.int64)
+                        interim = np.zeros((group, hi - lo, n_dev), dtype=float)
+                        for position, s in enumerate(cond_states):
+                            state = template.state_tensors[s]
+                            others = state_flat[s] - state.strides[i] * own
+                            cells = (
+                                others[:, None]
+                                + state.strides[i] * deviations[None, :]
+                            )
+                            interim += (
+                                weights[:, position, None, None]
+                                * state_costs[s][:, i, :][:, cells]
+                            )
+                        current = interim[:, np.arange(hi - lo), own]
+                        best = interim.min(axis=2)
+                        good = ~lt_array(best, current)
+                        bad = ~(best < np.inf)
                     # Per-game error lanes: record the reference error the
                     # first time it would fire, then keep sweeping — the
                     # other games' lanes are still live.
-                    bad = np.logical_and(ok, ~(best < np.inf)).any(axis=1)
-                    newly = bad & alive
-                    if newly.any():
-                        for g in np.nonzero(newly)[0]:
-                            errors[g] = RuntimeError(
-                                "agent has no feasible actions"
-                            )
-                        alive &= ~newly
-                    ok &= ~lt_array(best, current)
+                    if bad is not None:
+                        newly = np.logical_and(ok, bad).any(axis=1) & alive
+                        if newly.any():
+                            for g in np.nonzero(newly)[0]:
+                                errors[g] = RuntimeError(
+                                    "agent has no feasible actions"
+                                )
+                            alive &= ~newly
+                    ok &= good
 
             has = ok.any(axis=1)
             eq_found |= has

@@ -201,33 +201,89 @@ def canonical_json(payload: Any) -> str:
 # spec codec
 # ----------------------------------------------------------------------
 
+def _memo_key(value: Hashable) -> Hashable:
+    """A dict key exactly as fine as the encoding of ``value``.
+
+    Python calls ``1``, ``1.0`` and ``True`` equal (and ``0.0`` and
+    ``-0.0``), but the wire does not, so every atom — nested ones
+    included — is keyed by its type, and floats by their ``repr``.
+    """
+    kind = type(value)
+    if isinstance(value, tuple):
+        return kind, tuple(map(_memo_key, value))
+    if isinstance(value, frozenset):
+        return kind, frozenset(map(_memo_key, value))
+    if isinstance(value, float):
+        return kind, repr(value)
+    return kind, value
+
+
 def spec_to_wire(spec: TabularGameSpec) -> Dict[str, Any]:
-    """The spec as a JSON-safe dict (see module docstring for ordering)."""
-    feasible = [
-        {
-            "agent": agent,
-            "type": encode_value(ti),
-            "actions": [encode_value(action) for action in actions],
-        }
-        for (agent, ti), actions in spec.feasible.items()
-    ]
-    feasible.sort(key=lambda entry: (entry["agent"], canonical_json(entry["type"])))
-    costs = [
-        {
-            "agent": agent,
-            "state": [encode_value(ti) for ti in profile],
-            "actions": [encode_value(action) for action in actions],
-            "cost": encode_value(value),
-        }
-        for (agent, profile, actions), value in spec.costs.items()
-    ]
-    costs.sort(
-        key=lambda entry: (
-            entry["agent"],
-            canonical_json(entry["state"]),
-            canonical_json(entry["actions"]),
+    """The spec as a JSON-safe dict (see module docstring for ordering).
+
+    Cost keys repeat the same few types and actions thousands of times,
+    so each distinct atom is encoded (and its canonical text rendered,
+    for the sort keys) once per call.  Specs usually share one object
+    per atom and per state tuple (:func:`tabularize` and
+    :func:`spec_from_wire` both do), so a lookup by identity comes
+    first; every object looked up is reachable from ``spec``, so its
+    ``id`` stays unique for the whole call.
+    """
+    memo: Dict[Hashable, Tuple[Any, str]] = {}
+    by_id: Dict[int, Tuple[Any, str]] = {}
+    lists_by_id: Dict[int, Tuple[List[Any], str]] = {}
+
+    def atom(value: Hashable) -> Tuple[Any, str]:
+        hit = by_id.get(id(value))
+        if hit is None:
+            key = _memo_key(value)
+            hit = memo.get(key)
+            if hit is None:
+                encoded = encode_value(value)
+                hit = memo[key] = (encoded, canonical_json(encoded))
+            by_id[id(value)] = hit
+        return hit
+
+    def listed(values) -> Tuple[List[Any], str]:
+        hit = lists_by_id.get(id(values))
+        if hit is None:
+            atoms = [atom(value) for value in values]
+            hit = lists_by_id[id(values)] = (
+                [encoded for encoded, _ in atoms],
+                "[" + ",".join(text for _, text in atoms) + "]",
+            )
+        return list(hit[0]), hit[1]
+
+    feasible = []
+    for (agent, ti), actions in spec.feasible.items():
+        encoded, text = atom(ti)
+        feasible.append(
+            (
+                (agent, text),
+                {
+                    "agent": agent,
+                    "type": encoded,
+                    "actions": [encode_value(action) for action in actions],
+                },
+            )
         )
-    )
+    feasible.sort(key=lambda pair: pair[0])
+    costs = []
+    for (agent, profile, actions), value in spec.costs.items():
+        state, state_text = listed(profile)
+        chosen, chosen_text = listed(actions)
+        costs.append(
+            (
+                (agent, state_text, chosen_text),
+                {
+                    "agent": agent,
+                    "state": state,
+                    "actions": chosen,
+                    "cost": encode_value(value),
+                },
+            )
+        )
+    costs.sort(key=lambda pair: pair[0])
     return {
         "format": WIRE_FORMAT,
         "name": spec.name,
@@ -246,13 +302,19 @@ def spec_to_wire(spec: TabularGameSpec) -> Dict[str, Any]:
             }
             for profile, prob in spec.support
         ],
-        "feasible": feasible,
-        "costs": costs,
+        "feasible": [entry for _, entry in feasible],
+        "costs": [entry for _, entry in costs],
     }
 
 
 def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
-    """Rebuild a :class:`TabularGameSpec` from its wire dict."""
+    """Rebuild a :class:`TabularGameSpec` from its wire dict.
+
+    Each distinct atom and key tuple is decoded once per call and then
+    shared, keyed by the ``repr`` of its payload: payloads are parsed
+    JSON, whose ``repr`` tells ``1``, ``1.0``, ``True``, ``0.0`` and
+    ``-0.0`` apart, so equal keys decode to equal values.
+    """
     if not isinstance(payload, dict):
         raise CodecError("game payload must be a JSON object")
     declared = payload.get("format")
@@ -260,32 +322,44 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
         raise CodecError(
             f"unsupported game format {declared!r}; expected {WIRE_FORMAT!r}"
         )
+    atoms: Dict[str, Any] = {}
+    tuples: Dict[str, Tuple[Any, ...]] = {}
+
+    def atom(item: Any) -> Any:
+        key = repr(item)
+        if key not in atoms:
+            atoms[key] = decode_value(item)
+        return atoms[key]
+
+    def atom_tuple(items: Any) -> Tuple[Any, ...]:
+        key = repr(items)
+        if key not in tuples:
+            tuples[key] = tuple(atom(item) for item in items)
+        return tuples[key]
+
     try:
         action_spaces = [
-            [decode_value(action) for action in space]
+            [atom(action) for action in space]
             for space in payload["action_spaces"]
         ]
         type_spaces = [
-            [decode_value(ti) for ti in space] for space in payload["type_spaces"]
+            [atom(ti) for ti in space] for space in payload["type_spaces"]
         ]
         support = [
-            (
-                tuple(decode_value(ti) for ti in entry["profile"]),
-                decode_value(entry["prob"]),
-            )
+            (atom_tuple(entry["profile"]), decode_value(entry["prob"]))
             for entry in payload["support"]
         ]
         feasible = {
-            (entry["agent"], decode_value(entry["type"])): [
-                decode_value(action) for action in entry["actions"]
+            (entry["agent"], atom(entry["type"])): [
+                atom(action) for action in entry["actions"]
             ]
             for entry in payload["feasible"]
         }
         costs = {
             (
                 entry["agent"],
-                tuple(decode_value(ti) for ti in entry["state"]),
-                tuple(decode_value(action) for action in entry["actions"]),
+                atom_tuple(entry["state"]),
+                atom_tuple(entry["actions"]),
             ): decode_value(entry["cost"])
             for entry in payload["costs"]
         }

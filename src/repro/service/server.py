@@ -58,6 +58,10 @@ from .registry import (
 #: Default TCP port (`` repro`` on a phone keypad would be overkill).
 DEFAULT_PORT = 8350
 
+#: Largest request body the service reads; a longer declared
+#: ``Content-Length`` is refused with 413 before any body byte is read.
+MAX_BODY_BYTES = 64 << 20
+
 _GAME_PATH = re.compile(r"^/v1/games/([0-9a-f]{64})/(evaluate|dynamics)$")
 
 
@@ -114,8 +118,31 @@ class _Handler(BaseHTTPRequestHandler):
     def _client_id(self) -> str:
         return self.headers.get("X-Repro-Client") or self.client_address[0]
 
+    def _content_length(self) -> int:
+        """The declared body length, validated before any byte is read.
+
+        A refused length leaves the body unread on the socket, so the
+        refusal also closes the connection.
+        """
+        declared = (self.headers.get("Content-Length") or "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True
+            raise RequestError(
+                400, "bad-request",
+                f"Content-Length must be a non-negative integer, got {declared!r}",
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise RequestError(
+                413, "payload-too-large",
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit",
+            )
+        return length
+
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError(400, "bad-request", "request body is empty")
@@ -131,6 +158,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
