@@ -34,7 +34,7 @@ benchmarks/bench_engine.py``, the CI smoke step):
    from a fresh lowering included — costs at most
    :data:`EQ_SWEEP_MAX_RATIO` times the check-free sweep, and its whole
    result (equilibrium set, extremes, ``optP``) is identical to the
-   per-block deviation-gather kernel the lazy tier keeps.
+   per-block deviation-gather kernel the LRU block store keeps.
 
 Wall-clock numbers land in ``results/bench-engine/meta.json``.
 """
@@ -273,7 +273,8 @@ def measure_sweep_ratio():
 
     Every repetition sweeps a fresh lowering, so the equilibrium timing
     pays its one-time table build.  The reference result comes from the
-    lazy tier, whose sweep still gathers the (block x deviation) interim
+    same kernel over the LRU block store (``lower_game_lazy``), which has
+    no tables, so its sweep gathers the (block x deviation) interim
     matrices per (agent, type) row.
     """
     game = session_bundle_game()

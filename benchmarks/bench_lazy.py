@@ -39,7 +39,6 @@ from repro.core import (
 )
 from repro.core import tensor
 from repro.core.equilibrium import interim_best_response
-from repro.core.lazy import LazyTensorGame
 from repro.core.tensor import lower_game, maybe_lower
 from repro.runtime.artifacts import ArtifactStore
 
@@ -160,7 +159,7 @@ def measure_dynamics_speedup():
 
     def lazy_batch():
         lowered = dynamics_game().lowered(mode="lazy")
-        assert isinstance(lowered, LazyTensorGame)
+        assert lowered is not None and not lowered.pinned
         return [
             lowered.best_response_dynamics(initial, 10_000)
             for initial in initials
@@ -189,7 +188,7 @@ def measure_over_guard_targeted():
     game = congestion_game(BIG_TYPES, BIG_ACTIONS)
     dense_refused = lower_game(game) is None
     lazy = maybe_lower(game, mode="auto")
-    is_lazy = isinstance(lazy, LazyTensorGame)
+    is_lazy = lazy is not None and not lazy.pinned
 
     profile = tuple(
         tuple(space[0] for space in agent.choices) for agent in lazy.agents

@@ -73,7 +73,7 @@ def migration() -> None:
 def batched_games() -> None:
     print("== BatchSession over several games ==")
     games = [build_game(seed) for seed in (7, 11, 13)]
-    batch = BatchSession.of([game.session() for game in games])
+    batch = BatchSession.from_sessions([game.session() for game in games])
     rows = batch.evaluate_many([query("opt_p"), query("eq_p", kind="worst")])
     for game, (optp, worst) in zip(games, rows):
         print(f"  {game.name}: optP={optp:.4g}  worst-eqP={worst:.4g}")

@@ -22,8 +22,8 @@ actions, states)`` and samples ``members`` independent games from it:
     be 0 — the prior support is derived from the product prior, not
     chosen.  Cells whose members exceed the dense lowering's cell guard
     (the ``CENSUS-NCS-L`` sweep, e.g. ``(5, 2, 6)``) evaluate their
-    state-wise measures on the lazy tier (:mod:`repro.core.lazy`) — they
-    were reference-only before it existed; their whole-sweep measures
+    state-wise measures over the LRU block store (:mod:`repro.core.lazy`)
+    — they were reference-only before it existed; their whole-sweep measures
     trip the strategy-profile guard and are tallied as error members.
 
 Per member the unit task evaluates the full ignorance bundle through a

@@ -1056,10 +1056,10 @@ DEFAULT_CENSUS_NCS_CELLS = ((2, 2, 4), (2, 2, 5), (3, 2, 5))
 #: Large NCS cells for the ``CENSUS-NCS-L`` sweep: several of their
 #: members exceed the dense lowering's ``TENSOR_MAX_CELLS`` guard
 #: (e.g. ``(5, 2, 6)`` member 0 needs ~15.4M cost cells), so before the
-#: lazy tier (:mod:`repro.core.lazy`) their state-wise measures were
+#: LRU block store (:mod:`repro.core.lazy`) their state-wise measures were
 #: reference-only.  Whole-sweep measures on guard-crossing members still
 #: trip the strategy-profile guard (tallied as error members by the
-#: reducer); ``eq_c``/``opt_c`` now evaluate on lazy tensor kernels.
+#: reducer); ``eq_c``/``opt_c`` now evaluate on the tensor kernels.
 #: Minutes, not seconds, per cell — kept out of the stock defaults.
 DEFAULT_CENSUS_NCS_LARGE_CELLS = ((4, 2, 7), (5, 2, 6))
 

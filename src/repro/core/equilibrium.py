@@ -6,9 +6,10 @@ and whose underlying games admit pure Nash equilibria (guaranteed for
 potential games, hence for all NCS games).
 
 Enumeration entry points dispatch to the tensorized engine
-(:mod:`repro.core.tensor`) whenever the game lowers to dense index form,
-and to the lazy tier (:mod:`repro.core.lazy` — per-state cost blocks
-materialized on demand) when only the dense cell guard refuses; the
+(:mod:`repro.core.tensor`) whenever the game lowers: over pinned blocks
+when the dense form fits the cell guard, over the LRU block store
+(:mod:`repro.core.lazy` — per-state cost blocks tabulated on demand)
+when only that guard refuses; the
 per-profile Python path remains the reference semantics (and the parity
 oracle — see ``tests/core/test_tensor_parity.py``).  The
 Bayesian-level entry points are thin wrappers over one-shot

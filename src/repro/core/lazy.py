@@ -1,81 +1,42 @@
-"""Lazy sparse lowering: tensor kernels for games too big to tabulate.
+"""The LRU block store: tensor kernels for games too big to tabulate.
 
 :func:`repro.core.tensor.lower_game` refuses any game whose dense form
 would exceed :data:`~repro.core.tensor.TENSOR_MAX_CELLS` cost cells, and
 every such game historically fell back to the Python reference loop for
 *everything* — including best-response dynamics and targeted interim
 queries that only ever touch a handful of cells per step.  This module
-is the engine tier between "fully lowered" and "reference loop":
+holds the one thing such games need on top of the shared kernel: a
+bounded home for their cost blocks.
 
-* :class:`LazyTensorGame` carries the same *structural* metadata as a
-  :class:`~repro.core.tensor.TensorGame` — the mixed-radix agent spaces,
-  per-state feasible-action axes, digit-extraction strides, and the
-  conditional posterior rows — all of which are cheap (no cost callback
-  is ever invoked to build them).  The feasible-action masks are
-  computed first, exactly as in the dense lowering: a state's axis ``i``
-  *is* the feasible list of agent ``i``'s state type, so only feasible
-  sub-axes are ever allocated and the ``+inf`` cells of infeasible
-  actions are never stored or evaluated.
-* Per-state cost blocks — real :class:`~repro.core.tensor.StateTensor`
-  objects, tabulated by the same ``_tabulate`` walk in the same callback
-  order as the dense lowering — materialize **on demand** the first time
-  a kernel touches the state, and live in a bounded LRU
-  :class:`_BlockCache` with an injectable cell budget.  Evicted blocks
-  re-materialize transparently (correctness never depends on residency).
-* The kernel surface mirrors :class:`~repro.core.tensor.TensorGame`
-  method for method — ``interim_best_response``,
-  ``best_response_dynamics``, the blocked ``sweep_profiles`` (plus
-  *restricted* strategy slices, see below), ``opt_c`` / ``eq_c``, and
-  the benevolent social-cost kernels — with bit-identical fold order
-  (states in prior-support order, conditional states in support order),
-  the first-feasible ``argmin`` tie-break, and the exact reference error
-  semantics: the no-feasible-action / non-convergence ``RuntimeError``
-  messages and :class:`~repro._util.ExplosionError` ``(what, size,
-  limit)`` payloads are byte-for-byte those of the dense engine.
+* :func:`lower_game_lazy` runs the same structural walk as the pinned
+  lowering (agent spaces, per-state feasible axes, digit strides, the
+  conditional posterior rows — no cost callback is ever invoked) and
+  returns a :class:`~repro.core.tensor.TensorGame` over an LRU
+  :class:`_BlockCache` instead of a list of pre-tabulated blocks.
+* A per-state :class:`~repro.core.tensor.StateTensor` block is tabulated
+  the first time a kernel touches the state — by the same walk, in the
+  same callback order as the pinned lowering — and lives in the cache
+  under an injectable cell budget.  Evicted blocks re-tabulate
+  transparently (correctness never depends on residency).
 
-Restricted sweeps
------------------
-Games in this tier usually have strategy-profile spaces far beyond the
-enumeration guard, so the whole-space sweep raises exactly like the
-reference path.  :meth:`LazyTensorGame.sweep_profiles` therefore accepts
-a ``restrict`` argument — per (agent, type-position) lists of allowed
-digit positions — and enumerates only that sub-box of the profile space
-(deviations in the equilibrium check still range over the *full*
-feasible lists, so "equilibrium" keeps its game-wide meaning).  The
-unrestricted call is numerically the dense sweep; a restricted call is
-the "targeted query" primitive for games too big to sweep whole.
-
-Dispatch
---------
-Nothing here is called directly in normal use:
-:func:`repro.core.tensor.maybe_lower` with ``mode="auto"`` falls back to
-this tier when full tabulation would exceed the cell guard, and
-:class:`repro.core.session.GameSession` routes dynamics, interim
-queries, and (guarded) sweeps through whichever lowering it got.  See
-``docs/ENGINE.md`` ("Lazy sparse lowering") for the block-cache contract
-and the updated fallback matrix.
+Every kernel, including the restricted ``sweep_profiles`` used for
+targeted queries, is :class:`~repro.core.tensor.TensorGame`'s own, so a
+value is bit-identical whichever store served it.  Nothing here is
+called directly in normal use: :func:`repro.core.tensor.maybe_lower`
+with ``mode="auto"`` attaches this store when pinning every block would
+exceed the cell guard.  See ``docs/ENGINE.md`` ("One kernel, two block
+stores") for the cache contract and the dispatch table.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-import numpy as np
-
-from .._util import ExplosionError, lt, product_size
 from . import tensor as _tensor
-from .game import Action, BayesianGame, StrategyProfile
-from .strategy import per_type_choices
-from .tensor import (
-    DEFAULT_MAX_ACTION_PROFILES,
-    ProfileSweep,
-    StateTensor,
-    _AgentSpace,
-    _c_strides,
-    _tabulate,
-    lt_array,
-)
+from .game import BayesianGame
+from .tensor import DEFAULT_MAX_ACTION_PROFILES, StateTensor, TensorGame, _lower
+
 
 #: Default block-cache budget, in cost cells: four dense-lowering guards'
 #: worth (a ``float64`` cell is 8 bytes, so this caps resident cost
@@ -87,26 +48,33 @@ def default_cache_cells() -> int:
 
 
 class _BlockCache:
-    """Bounded LRU of materialized per-state cost blocks.
+    """Bounded LRU of per-state cost blocks, tabulating on a miss.
 
+    ``cache[s]`` is state ``s``'s block: resident blocks are served (and
+    refreshed), missing ones come from ``tabulate(s)`` and are admitted.
     Tracks residency in *cells* (``k * N_s`` per block) against a fixed
     budget: inserting a block evicts least-recently-used blocks until
     the new total fits.  A single block larger than the whole budget is
     still admitted (alone) — the cache bounds *residency*, it never
-    refuses work.  Counters (`hits`/`misses`/`evictions`/`tabulated`)
-    are exposed for tests, benchmarks, and ops introspection.
+    refuses work.  Counters (`hits`/`misses`/`evictions`) are exposed
+    for tests, benchmarks, and ops introspection.
 
     Not thread-safe on its own; the owning session's lock (or
     single-threaded use) is the synchronization contract, same as every
     other session-held cache.
     """
 
-    __slots__ = ("budget", "cells", "hits", "misses", "evictions", "_blocks")
+    __slots__ = (
+        "budget", "tabulate", "cells", "hits", "misses", "evictions", "_blocks",
+    )
 
-    def __init__(self, budget: int) -> None:
+    def __init__(
+        self, budget: int, tabulate: Callable[[int], StateTensor]
+    ) -> None:
         if budget < 1:
             raise ValueError(f"cache budget must be >= 1 cell, got {budget}")
         self.budget = int(budget)
+        self.tabulate = tabulate
         self.cells = 0
         self.hits = 0
         self.misses = 0
@@ -119,6 +87,18 @@ class _BlockCache:
     def __contains__(self, s: int) -> bool:
         return s in self._blocks
 
+    def __getitem__(self, s: int) -> StateTensor:
+        """The block of state ``s``, tabulated and admitted on a miss.
+
+        A re-tabulated block is bit-identical to the evicted one (pure
+        cost functions are part of the :class:`BayesianGame` contract).
+        """
+        block = self.get(s)
+        if block is None:
+            block = self.tabulate(s)
+            self.put(s, block)
+        return block
+
     def get(self, s: int) -> Optional[StateTensor]:
         block = self._blocks.get(s)
         if block is None:
@@ -127,6 +107,11 @@ class _BlockCache:
         self._blocks.move_to_end(s)
         self.hits += 1
         return block
+
+    def peek(self, s: int) -> Optional[StateTensor]:
+        """The resident block for state ``s``, or ``None`` (no side
+        effects on the LRU order or counters)."""
+        return self._blocks.get(s)
 
     def put(self, s: int, block: StateTensor) -> None:
         size = block.size * block.num_agents
@@ -145,610 +130,39 @@ class _BlockCache:
         self._blocks.clear()
         self.cells = 0
 
-
-class LazyTensorGame:
-    """A :class:`BayesianGame` lowered structurally, cost blocks on demand.
-
-    Construction touches no cost callback: it builds the same agent
-    spaces, state axes, digit strides, and conditional rows as
-    :class:`~repro.core.tensor.TensorGame` (sharing the exact code
-    paths), plus one :class:`_BlockCache`.  Every kernel then fetches
-    per-state :class:`~repro.core.tensor.StateTensor` blocks through
-    :meth:`state_block`, which tabulates a missing block with the same
-    ``_tabulate`` walk the dense lowering uses — so any value a kernel
-    produces is bit-identical to the dense engine (and hence to the
-    reference loop, which the dense engine is fuzzed against).
-    """
-
-    def __init__(
-        self,
-        game: BayesianGame,
-        states: List[Tuple],
-        probs: np.ndarray,
-        agents: List[_AgentSpace],
-        state_spaces: List[List[List[Action]]],
-        cache_cells: int,
-    ) -> None:
-        self.game = game
-        self.states = states
-        self.probs = probs
-        self.agents = agents
-        self.state_spaces = state_spaces
-        self.state_index = {profile: s for s, profile in enumerate(states)}
-        #: Structural per-state geometry, computed without tabulating.
-        self.state_shapes = [
-            tuple(len(space) for space in spaces) for spaces in state_spaces
-        ]
-        self.state_strides = [_c_strides(shape) for shape in self.state_shapes]
-        self.state_sizes = []
-        for shape in self.state_shapes:
-            size = 1
-            for n in shape:
-                size *= n
-            self.state_sizes.append(size)
-        self.max_state_size = max(self.state_sizes)
-        self.total_cells = sum(self.state_sizes) * game.num_agents
-        self.profile_strides = _c_strides(
-            [agent.exact_count for agent in agents]
-        )
-        # Digit-extraction metadata, identical to TensorGame.__init__.
-        self._digit_stride: List[List[int]] = []
-        self._digit_radix: List[List[int]] = []
-        self._state_pos: List[List[int]] = []
-        self._used_positions: List[List[int]] = []
-        for i in range(game.num_agents):
-            pos = [game.type_position(i, profile[i]) for profile in states]
-            self._digit_stride.append([agents[i].strides[p] for p in pos])
-            self._digit_radix.append([agents[i].radix[p] for p in pos])
-            self._state_pos.append(pos)
-            self._used_positions.append(sorted(set(pos)))
-        # Conditional posterior rows, identical (sequential total fold).
-        self._cond: List[List[Tuple[int, List[int], np.ndarray, int]]] = []
-        for i in range(game.num_agents):
-            rows = []
-            for ti in game.prior.positive_types(i):
-                indices = [s for s, profile in enumerate(states) if profile[i] == ti]
-                total = 0.0
-                for s in indices:
-                    total += float(probs[s])
-                rows.append(
-                    (
-                        game.type_position(i, ti),
-                        indices,
-                        probs[indices] / total,
-                        len(game.feasible_actions(i, ti)),
-                    )
-                )
-            self._cond.append(rows)
-        self._cond_types: List[List] = [
-            list(game.prior.positive_types(i)) for i in range(game.num_agents)
-        ]
-        #: Per (agent, row): (tpos, n_dev, [(s, weight, dev_offsets)]) —
-        #: the structural half of TensorGame's interim tables (cost rows
-        #: are fetched per call, they may be evicted between calls).
-        self._interim_meta: Optional[List[List[Tuple]]] = None
-        self.cache = _BlockCache(cache_cells)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_agents(self) -> int:
-        return len(self.agents)
-
-    def profile_count(self) -> float:
-        return product_size(agent.count for agent in self.agents)
-
-    def decode_profile(self, flat: int) -> StrategyProfile:
-        return tuple(
-            agent.decode((flat // stride) % agent.exact_count)
-            for agent, stride in zip(self.agents, self.profile_strides)
-        )
-
-    # ------------------------------------------------------------------
-    # block materialization
-    # ------------------------------------------------------------------
-    def state_block(self, s: int) -> StateTensor:
-        """The state's :class:`StateTensor`, materializing it on a miss.
-
-        Tabulation calls ``game.cost`` once per (agent, cell) in exactly
-        the dense lowering's order, so a re-materialized block is
-        bit-identical to the evicted one (pure cost functions are part
-        of the :class:`BayesianGame` contract).
-        """
-        block = self.cache.get(s)
-        if block is None:
-            profile = self.states[s]
-            spaces = self.state_spaces[s]
-            costs = _tabulate(
-                spaces,
-                lambda agent, actions, _profile=profile: self.game.cost(
-                    agent, _profile, actions
-                ),
-            )
-            block = StateTensor(spaces, costs)
-            self.cache.put(s, block)
-        return block
-
-    def peek_block(self, s: int) -> Optional[StateTensor]:
-        """The resident block for state ``s``, or ``None`` (no side
-        effects on the LRU order or counters)."""
-        return self.cache._blocks.get(s)
-
-    def cache_stats(self) -> Dict[str, int]:
-        """A snapshot of the block cache counters (for ops/tests)."""
-        cache = self.cache
+    def stats(self) -> Dict[str, int]:
+        """A snapshot of the counters (for ops/tests)."""
         return {
-            "budget_cells": cache.budget,
-            "resident_cells": cache.cells,
-            "resident_blocks": len(cache),
-            "hits": cache.hits,
-            "misses": cache.misses,
-            "evictions": cache.evictions,
+            "budget_cells": self.budget,
+            "resident_cells": self.cells,
+            "resident_blocks": len(self._blocks),
+            "hits": self.hits,
+            "misses": self.misses,
+            "evictions": self.evictions,
         }
-
-    def _block_size(self) -> int:
-        widest = max(
-            [1]
-            + [row[3] for rows in self._cond for row in rows]
-            + [len(self.states)]
-        )
-        return max(1, min(1 << 16, _tensor.BLOCK_CELLS // widest))
-
-    # ------------------------------------------------------------------
-    # the blocked (optionally restricted) profile sweep
-    # ------------------------------------------------------------------
-    def _restricted_axes(
-        self, restrict
-    ) -> Optional[List[List[np.ndarray]]]:
-        """Validated per (agent, position) allowed-digit arrays.
-
-        ``restrict`` is ``None`` (whole space) or a length-``k`` sequence
-        whose entry ``i`` is ``None`` (agent unrestricted) or a
-        per-position sequence of ``None`` (position unrestricted) /
-        iterables of digit positions into that position's choice list.
-        Returns ``None`` for the unrestricted whole-space case so the
-        sweep takes the dense-identical fast path.
-        """
-        if restrict is None:
-            return None
-        if len(restrict) != self.num_agents:
-            raise ValueError(
-                f"restrict must cover all {self.num_agents} agents, "
-                f"got {len(restrict)} entries"
-            )
-        axes: List[List[np.ndarray]] = []
-        any_restricted = False
-        for i, agent in enumerate(self.agents):
-            spec = restrict[i]
-            if spec is not None and len(spec) != len(agent.radix):
-                raise ValueError(
-                    f"agent {i}: restrict row must cover all "
-                    f"{len(agent.radix)} type positions, got {len(spec)}"
-                )
-            rows: List[np.ndarray] = []
-            for p, n in enumerate(agent.radix):
-                allowed = None if spec is None else spec[p]
-                if allowed is None:
-                    rows.append(np.arange(n, dtype=np.int64))
-                    continue
-                digits = [int(d) for d in allowed]
-                if not digits:
-                    raise ValueError(
-                        f"agent {i} position {p}: empty restriction"
-                    )
-                if len(set(digits)) != len(digits):
-                    raise ValueError(
-                        f"agent {i} position {p}: duplicate digits in "
-                        "restriction"
-                    )
-                for d in digits:
-                    if not 0 <= d < n:
-                        raise ValueError(
-                            f"agent {i} position {p}: digit {d} out of "
-                            f"range [0, {n})"
-                        )
-                if len(digits) != n:
-                    any_restricted = True
-                rows.append(np.array(digits, dtype=np.int64))
-            axes.append(rows)
-        return axes if any_restricted else None
-
-    def sweep_profiles(
-        self,
-        max_profiles: int,
-        collect_equilibria: bool = False,
-        check_equilibria: bool = True,
-        restrict=None,
-    ) -> ProfileSweep:
-        """:meth:`TensorGame.sweep_profiles` with on-demand blocks.
-
-        Unrestricted, this is the dense blocked sweep verbatim — same
-        fold order, same guard (``ExplosionError("strategy profiles",
-        total, max_profiles)`` exactly when the reference enumeration
-        would raise it), same error path — with ``state.social`` /
-        ``state.costs`` gathers going through :meth:`state_block`.
-
-        With ``restrict``, only the sub-box of profiles whose digits lie
-        in the allowed lists is enumerated (in the same C-order), the
-        guard applies to the *slice* size, and reported indices
-        (``argmin_index``, ``eq_indices``) are full-space flat indices.
-        The equilibrium check still ranges over every feasible
-        deviation, so a profile flagged as an equilibrium is one of the
-        whole game, not merely of the slice.
-        """
-        axes = self._restricted_axes(restrict)
-        if axes is None:
-            total_f = self.profile_count()
-        else:
-            total_f = product_size(
-                product_size(len(row) for row in rows) for rows in axes
-            )
-        if total_f > max_profiles:
-            raise ExplosionError("strategy profiles", total_f, max_profiles)
-        total = int(total_f)
-        k = self.num_agents
-        block = self._block_size()
-
-        if axes is None:
-            pstrides = self.profile_strides
-            counts = [agent.exact_count for agent in self.agents]
-        else:
-            r_radix = [[len(row) for row in rows] for rows in axes]
-            r_strides = [_c_strides(radix) for radix in r_radix]
-            r_counts = []
-            for radix in r_radix:
-                count = 1
-                for n in radix:
-                    count *= n
-                r_counts.append(count)
-            pstrides = _c_strides(r_counts)
-            counts = r_counts
-
-        opt = float("inf")
-        argmin = -1
-        best_eq = float("inf")
-        worst_eq = float("-inf")
-        eq_found = False
-        eq_indices: Optional[List[int]] = [] if collect_equilibria else None
-
-        for lo in range(0, total, block):
-            hi = min(total, lo + block)
-            flat = np.arange(lo, hi, dtype=np.int64)
-            strat = [(flat // pstrides[i]) % counts[i] for i in range(k)]
-            if axes is None:
-                digit_of = [
-                    {
-                        p: (strat[i] // self.agents[i].strides[p])
-                        % self.agents[i].radix[p]
-                        for p in range(len(self.agents[i].radix))
-                    }
-                    for i in range(k)
-                ]
-            else:
-                digit_of = [
-                    {
-                        p: axes[i][p][
-                            (strat[i] // r_strides[i][p]) % r_radix[i][p]
-                        ]
-                        for p in range(len(self.agents[i].radix))
-                    }
-                    for i in range(k)
-                ]
-
-            state_flat: List[np.ndarray] = []
-            social = np.zeros(hi - lo, dtype=float)
-            for s in range(len(self.states)):
-                state = self.state_block(s)
-                index = np.zeros(hi - lo, dtype=np.int64)
-                for i in range(k):
-                    index += state.strides[i] * digit_of[i][self._state_pos[i][s]]
-                state_flat.append(index)
-                social += self.probs[s] * state.social[index]
-
-            block_min = float(social.min())
-            if block_min < opt:
-                opt = block_min
-                position = int(social.argmin())
-                if axes is None:
-                    argmin = lo + position
-                else:
-                    full = 0
-                    for i in range(k):
-                        strategy = 0
-                        for p, stride in enumerate(self.agents[i].strides):
-                            strategy += stride * int(digit_of[i][p][position])
-                        full += self.profile_strides[i] * strategy
-                    argmin = full
-            if not check_equilibria:
-                continue
-
-            ok = np.ones(hi - lo, dtype=bool)
-            for i in range(k):
-                for tpos, cond_states, weights, n_dev in self._cond[i]:
-                    own = digit_of[i][tpos]
-                    deviations = np.arange(n_dev, dtype=np.int64)
-                    interim = np.zeros((hi - lo, n_dev), dtype=float)
-                    for s, q in zip(cond_states, weights):
-                        state = self.state_block(s)
-                        others = state_flat[s] - state.strides[i] * own
-                        interim += q * state.costs[i][
-                            others[:, None] + state.strides[i] * deviations[None, :]
-                        ]
-                    current = interim[np.arange(hi - lo), own]
-                    best = interim.min(axis=1)
-                    if np.logical_and(ok, ~(best < np.inf)).any():
-                        raise RuntimeError("agent has no feasible actions")
-                    ok &= ~lt_array(best, current)
-
-            if ok.any():
-                eq_found = True
-                values = social[ok]
-                best_eq = min(best_eq, float(values.min()))
-                worst_eq = max(worst_eq, float(values.max()))
-                if eq_indices is not None:
-                    if axes is None:
-                        eq_indices.extend(int(f) for f in flat[ok])
-                    else:
-                        for position in np.nonzero(ok)[0]:
-                            full = 0
-                            for i in range(k):
-                                strategy = 0
-                                for p, stride in enumerate(self.agents[i].strides):
-                                    strategy += stride * int(
-                                        digit_of[i][p][position]
-                                    )
-                                full += self.profile_strides[i] * strategy
-                            eq_indices.append(full)
-
-        return ProfileSweep(
-            opt_p=opt,
-            argmin_index=argmin,
-            best_eq=best_eq,
-            worst_eq=worst_eq,
-            eq_found=eq_found,
-            eq_indices=eq_indices,
-        )
-
-    # ------------------------------------------------------------------
-    # measure kernels (TensorGame bodies over on-demand blocks)
-    # ------------------------------------------------------------------
-    def opt_p(self, max_profiles: int) -> float:
-        return self.sweep_profiles(max_profiles, check_equilibria=False).opt_p
-
-    def enumerate_bayesian_equilibria(
-        self, max_profiles: int
-    ) -> List[StrategyProfile]:
-        sweep = self.sweep_profiles(max_profiles, collect_equilibria=True)
-        assert sweep.eq_indices is not None
-        return [self.decode_profile(index) for index in sweep.eq_indices]
-
-    def bayesian_equilibrium_extreme_costs(
-        self, max_profiles: int
-    ) -> Tuple[float, float]:
-        sweep = self.sweep_profiles(max_profiles)
-        if not sweep.eq_found:
-            raise RuntimeError(f"{self.game!r} has no pure Bayesian equilibrium")
-        return sweep.best_eq, sweep.worst_eq
-
-    def opt_c(self) -> float:
-        total = 0.0
-        for s, prob in enumerate(self.probs):
-            total += float(prob) * self.state_block(s).optimum()
-        return total
-
-    def eq_c(self) -> Tuple[float, float]:
-        best_total = 0.0
-        worst_total = 0.0
-        for s, prob in enumerate(self.probs):
-            extremes = self.state_block(s).nash_extreme_costs()
-            if extremes is None:
-                underlying = self.game.underlying_game(self.states[s])
-                raise RuntimeError(
-                    f"underlying game {underlying!r} has no pure Nash equilibrium"
-                )
-            best, worst = extremes
-            best_total += float(prob) * best
-            worst_total += float(prob) * worst
-        return best_total, worst_total
-
-    # ------------------------------------------------------------------
-    # dynamics kernels
-    # ------------------------------------------------------------------
-    def encode_strategies(
-        self, strategies: StrategyProfile
-    ) -> Optional[List[List[int]]]:
-        """Identical to :meth:`TensorGame.encode_strategies` (structural)."""
-        if len(strategies) != len(self.agents):
-            return None
-        digits: List[List[int]] = []
-        for i, agent in enumerate(self.agents):
-            strategy = strategies[i]
-            if len(strategy) != len(agent.choices):
-                return None
-            row = [0] * len(agent.choices)
-            for position in self._used_positions[i]:
-                try:
-                    row[position] = agent.choices[position].index(strategy[position])
-                except ValueError:
-                    return None
-            digits.append(row)
-        return digits
-
-    def decode_digits(
-        self, template: StrategyProfile, digits: List[List[int]]
-    ) -> StrategyProfile:
-        """Identical to :meth:`TensorGame.decode_digits` (structural)."""
-        decoded = []
-        for i, agent in enumerate(self.agents):
-            strategy = list(template[i])
-            for position in self._used_positions[i]:
-                strategy[position] = agent.choices[position][digits[i][position]]
-            decoded.append(tuple(strategy))
-        return tuple(decoded)
-
-    def _interim_rows(self) -> List[List[Tuple]]:
-        """Structural interim metadata: cost rows are *not* captured here
-        (blocks may be evicted between calls); :meth:`_interim_vector`
-        fetches them through the cache per conditional state instead."""
-        if self._interim_meta is None:
-            tables: List[List[Tuple]] = []
-            for i in range(self.num_agents):
-                rows = []
-                for tpos, cond_states, weights, n_dev in self._cond[i]:
-                    entries = []
-                    for s, weight in zip(cond_states, weights):
-                        entries.append(
-                            (
-                                s,
-                                float(weight),
-                                self.state_strides[s][i]
-                                * np.arange(n_dev, dtype=np.int64),
-                            )
-                        )
-                    rows.append((tpos, n_dev, entries))
-                tables.append(rows)
-            self._interim_meta = tables
-        return self._interim_meta
-
-    def _interim_vector(
-        self, agent: int, n_dev: int, entries: List[Tuple], digits: List[List[int]]
-    ) -> np.ndarray:
-        """Bit-identical to :meth:`TensorGame._interim_vector`: same
-        conditional-state fold order, same ``+= weight * gather`` per
-        state — only the cost row comes from :meth:`state_block`."""
-        interim = np.zeros(n_dev, dtype=float)
-        for s, weight, dev_offsets in entries:
-            state = self.state_block(s)
-            base = 0
-            for j in range(self.num_agents):
-                if j != agent:
-                    base += state.strides[j] * digits[j][self._state_pos[j][s]]
-            interim += weight * state.costs[agent][base + dev_offsets]
-        return interim
-
-    def interim_best_response(
-        self, agent: int, ti, strategies: StrategyProfile
-    ) -> Optional[Tuple[Action, float]]:
-        """Identical contract to :meth:`TensorGame.interim_best_response`
-        (``None`` fallthrough for zero-probability types / non-encodable
-        profiles; ``RuntimeError("agent has no feasible actions")`` on an
-        all-``+inf`` interim row; first-feasible ``argmin``)."""
-        try:
-            row_index = self._cond_types[agent].index(ti)
-        except ValueError:
-            return None
-        digits = self.encode_strategies(strategies)
-        if digits is None:
-            return None
-        tpos, n_dev, entries = self._interim_rows()[agent][row_index]
-        interim = self._interim_vector(agent, n_dev, entries, digits)
-        best_position = int(interim.argmin())
-        if not interim[best_position] < float("inf"):
-            raise RuntimeError("agent has no feasible actions")
-        return (
-            self.agents[agent].choices[tpos][best_position],
-            float(interim[best_position]),
-        )
-
-    def best_response_dynamics(
-        self, initial: StrategyProfile, max_rounds: int
-    ) -> Optional[StrategyProfile]:
-        """Identical step sequence to
-        :meth:`TensorGame.best_response_dynamics` — same (agent,
-        positive-type) sweep order, interim costs, tie-breaks, tolerant
-        improvement test, and error messages — over on-demand blocks."""
-        digits = self.encode_strategies(initial)
-        if digits is None:
-            return None
-        tables = self._interim_rows()
-        for _ in range(max_rounds):
-            changed = False
-            for agent in range(self.num_agents):
-                for tpos, n_dev, entries in tables[agent]:
-                    interim = self._interim_vector(agent, n_dev, entries, digits)
-                    best_position = int(interim.argmin())
-                    if not interim[best_position] < float("inf"):
-                        raise RuntimeError("agent has no feasible actions")
-                    if lt(float(interim[best_position]), float(interim[digits[agent][tpos]])):
-                        digits[agent][tpos] = best_position
-                        changed = True
-            if not changed:
-                return self.decode_digits(initial, digits)
-        raise RuntimeError("Bayesian best-response dynamics did not converge")
-
-    # ------------------------------------------------------------------
-    # benevolent (social-cost) kernels
-    # ------------------------------------------------------------------
-    def social_cost_of_digits(self, digits: List[List[int]]) -> float:
-        """Identical fold to :meth:`TensorGame.social_cost_of_digits`."""
-        total = 0.0
-        for s in range(len(self.states)):
-            state = self.state_block(s)
-            flat = 0
-            for j in range(self.num_agents):
-                flat += state.strides[j] * digits[j][self._state_pos[j][s]]
-            total += float(self.probs[s]) * float(state.social[flat])
-        return total
-
-    def social_cost_vector(
-        self, agent: int, tpos: int, digits: List[List[int]]
-    ) -> np.ndarray:
-        """Identical fold to :meth:`TensorGame.social_cost_vector`."""
-        n = self.agents[agent].radix[tpos]
-        candidates = np.arange(n, dtype=np.int64)
-        vector = np.zeros(n, dtype=float)
-        for s in range(len(self.states)):
-            state = self.state_block(s)
-            base = 0
-            for j in range(self.num_agents):
-                if j != agent:
-                    base += state.strides[j] * digits[j][self._state_pos[j][s]]
-            if self._state_pos[agent][s] == tpos:
-                index = base + state.strides[agent] * candidates
-            else:
-                index = base + state.strides[agent] * digits[agent][self._state_pos[agent][s]]
-            vector += float(self.probs[s]) * state.social[index]
-        return vector
-
-    def __repr__(self) -> str:
-        return (
-            f"<LazyTensorGame k={self.num_agents} states={len(self.states)} "
-            f"cells={self.total_cells} resident={self.cache.cells}"
-            f"/{self.cache.budget}>"
-        )
 
 
 def lower_game_lazy(
     game: BayesianGame,
     max_action_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
     cache_cells: Optional[int] = None,
-) -> Optional[LazyTensorGame]:
-    """Structurally compile ``game`` for lazy evaluation, or ``None``.
+) -> Optional[TensorGame]:
+    """Structurally compile ``game`` over the LRU store, or ``None``.
 
-    Shares the dense lowering's per-state guard — any support state whose
-    feasible-action product exceeds ``max_action_profiles`` refuses (a
-    single block that large should not be materialized either) — but
-    deliberately has **no** total-cell guard: bounding total resident
-    cells is the block cache's job (``cache_cells``, defaulting to
-    :func:`default_cache_cells`).  Engine selection is the caller's
-    concern; go through :func:`repro.core.tensor.maybe_lower` with
-    ``mode="lazy"`` or ``mode="auto"`` for the cached, engine-aware path.
+    Shares the pinned lowering's walk and its per-state guard — any
+    support state whose feasible-action product exceeds
+    ``max_action_profiles`` refuses (a single block that large should not
+    be materialized either) — but deliberately has **no** total-cell
+    guard: bounding total resident cells is the block cache's job
+    (``cache_cells``, defaulting to :func:`default_cache_cells`).  Engine
+    selection is the caller's concern; go through
+    :func:`repro.core.tensor.maybe_lower` with ``mode="lazy"`` or
+    ``mode="auto"`` for the cached, engine-aware path.
     """
-    support = game.prior.support()
-    states = [tuple(profile) for profile, _ in support]
-    probs = np.array([prob for _, prob in support], dtype=float)
-    k = game.num_agents
-
-    agents = [_AgentSpace(per_type_choices(game, i)) for i in range(k)]
-
-    state_spaces: List[List[List[Action]]] = []
-    for profile in states:
-        spaces = [
-            agents[i].choices[game.type_position(i, profile[i])] for i in range(k)
-        ]
-        size = product_size(len(space) for space in spaces)
-        if size > max_action_profiles:
-            return None
-        state_spaces.append(spaces)
-    if cache_cells is None:
-        cache_cells = default_cache_cells()
-    return LazyTensorGame(game, states, probs, agents, state_spaces, cache_cells)
+    budget = default_cache_cells() if cache_cells is None else cache_cells
+    return _lower(
+        game,
+        max_action_profiles,
+        float("inf"),
+        lambda tabulate, _n: _BlockCache(budget, tabulate),
+    )

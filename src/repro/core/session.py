@@ -195,7 +195,6 @@ class GameSession:
         self.max_strategy_profiles = max_strategy_profiles
         self.max_action_profiles = max_action_profiles
         self._lowered_entry: Optional[Tuple[Optional[tensor.TensorGame]]] = None
-        self._lazy_entry: Optional[Tuple[Optional[Any]]] = None
         #: (need_eq, collect) -> ("ok", ProfileSweep) | ("err", (error, tb))
         self._sweeps: Dict[Tuple[bool, bool], Tuple[str, Any]] = {}
         #: (need_eq, collect) -> ("ok", _Scan) | ("err", (error, tb))
@@ -231,50 +230,32 @@ class GameSession:
             _raise_memoized(*payload)
         return payload
 
-    def lowered(self) -> Optional[tensor.TensorGame]:
-        """The game's *dense* tensor form, computed (at most) once.
-
-        Full tier only: callers that need the dense layout (the SoA
-        batch engine stacks ``state_tensors`` across games) must not see
-        a lazy lowering here.  Kernel dispatch inside the session goes
-        through :meth:`_kernel`, which falls back to the lazy tier.
-        """
+    def _kernel(self) -> Optional[tensor.TensorGame]:
+        """The game's lowering, computed (at most) once, on whichever
+        block store :func:`~repro.core.tensor.maybe_lower` picked — or
+        ``None`` (reference path).  Both stores run the same kernels, so
+        every dispatch site below is store-agnostic."""
         if self._lowered_entry is None:
             with self._scope():
                 self._lowered_entry = (
                     tensor.maybe_lower(
-                        self.game, self.max_action_profiles, mode="full"
+                        self.game, self.max_action_profiles, mode="auto"
                     ),
                 )
         return self._lowered_entry[0]
 
-    def lazy_lowered(self):
-        """The game's lazy lowering, computed (at most) once.
+    def lowered(self) -> Optional[tensor.TensorGame]:
+        """The lowering when its store is pinned, else ``None``: the SoA
+        batch engine stacks every state's block across games, which an
+        LRU store does not hold."""
+        lowered = self._kernel()
+        return lowered if lowered is not None and lowered.pinned else None
 
-        Only consulted when the dense tier refused (``None`` otherwise —
-        one game never holds both lowerings), so a session's kernels run
-        on exactly one engine tier for its whole lifetime.
-        """
-        if self._lazy_entry is None:
-            if self.lowered() is not None:
-                self._lazy_entry = (None,)
-            else:
-                with self._scope():
-                    self._lazy_entry = (
-                        tensor.maybe_lower(
-                            self.game, self.max_action_profiles, mode="lazy"
-                        ),
-                    )
-        return self._lazy_entry[0]
-
-    def _kernel(self):
-        """The kernel-bearing lowering for dispatch: dense, else lazy,
-        else ``None`` (reference path).  Both tiers expose the same
-        kernel surface, so every dispatch site below is tier-agnostic."""
-        lowered = self.lowered()
-        if lowered is not None:
-            return lowered
-        return self.lazy_lowered()
+    def lazy_lowered(self) -> Optional[tensor.TensorGame]:
+        """The lowering when its store is LRU (the game is past the dense
+        cell guard), else ``None``."""
+        lowered = self._kernel()
+        return lowered if lowered is not None and not lowered.pinned else None
 
     def drop_lowering(self, blocking: bool = True) -> bool:
         """Release the session's lowered forms and the game-object caches.
@@ -291,7 +272,6 @@ class GameSession:
             return False
         try:
             self._lowered_entry = None
-            self._lazy_entry = None
             tensor.drop_lowering(self.game)
         finally:
             self.lock.release()
@@ -798,9 +778,6 @@ class BatchSession:
         batch.sessions = sessions
         return batch
 
-    #: Historical alias for :meth:`from_sessions` (same validation).
-    of = from_sessions
-
     def evaluate_many(
         self,
         queries: Iterable[Any],
@@ -910,10 +887,7 @@ class BatchSession:
         buckets, _fallback = self._buckets()
         for (max_profiles, _signature), indices in buckets.items():
             lowered = self.sessions[indices[0]].lowered()
-            cells = sum(
-                state.size * lowered.num_agents
-                for state in lowered.state_tensors
-            )
+            cells = lowered.total_cells
             # Chunk oversized buckets so one stack never exceeds the
             # engine-wide cell budget; per-lane results are partition-
             # independent, so chunking cannot change any value.

@@ -35,6 +35,15 @@ prior-support order, conditional states in support order), so interim
 costs — and hence equilibrium *sets* — are bit-identical to the
 reference path, which remains available as the parity oracle.
 
+One kernel, two block stores: every :class:`TensorGame` kernel reads a
+state's cost block through :meth:`TensorGame.state_block`, and the
+blocks come from one of two stores.  :func:`lower_game` *pins* them —
+every block tabulated at lowering, refused past
+:data:`TENSOR_MAX_CELLS` — while :func:`repro.core.lazy.lower_game_lazy`
+attaches a bounded LRU that tabulates a block the first time a kernel
+touches it.  Per-state geometry (shapes, strides, sizes) comes from the
+structural walk both share, so nothing structural ever needs a block.
+
 Engine selection: the ``REPRO_ENGINE`` environment variable chooses the
 default — ``"auto"`` (lower when possible), ``"tensor"`` (alias of
 ``auto``), or ``"reference"`` (never lower) — and :func:`engine_override`
@@ -44,16 +53,14 @@ unit tasks (and async tasks) each see only their own pin: nothing is
 shared, nothing races, nothing leaks out of the ``with`` block.  Session
 objects (:mod:`repro.core.session`) capture the effective engine at
 construction, which is the recommended way to hold an engine across many
-calls.  :func:`set_engine` — the old *mutable process-global* default,
-which thread-backend workers could race — still works but is deprecated
-in favor of those two scoped mechanisms.
+calls.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
@@ -125,27 +132,6 @@ _engine_var: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
 def get_engine() -> str:
     """The effective engine: the context's override, else the default."""
     return _engine_var.get() or _default_engine
-
-
-def set_engine(name: str) -> None:
-    """Deprecated: set the mutable process-wide default engine.
-
-    The process-global default is shared by every thread, so flipping it
-    while thread-backend unit tasks run is a race.  Pin engines with the
-    context-scoped :func:`engine_override` or per-session config
-    (``GameSession(engine=...)``) instead; contexts inside an override
-    keep their pin regardless of this default.
-    """
-    _check_engine(name)
-    warnings.warn(
-        "set_engine() mutates a process-wide global shared across threads; "
-        "use engine_override(...) or session-scoped config "
-        "(repro.core.session.GameSession(engine=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    global _default_engine
-    _default_engine = name
 
 
 def tensor_enabled() -> bool:
@@ -362,31 +348,27 @@ def maybe_state_tensor(
 ) -> Optional[StateTensor]:
     """Cached state lowering honoring the engine switch and guards.
 
-    Reuses the parent game's full Bayesian lowering when the state is a
-    support state that has already been tabulated.
+    Reuses the parent game's Bayesian lowering (either store) when the
+    state is a support state: a block's axes are exactly
+    ``UnderlyingGame.actions`` (the state types' feasible lists), so the
+    block *is* the state lowering.
     """
     if not tensor_enabled():
         return None
     parent = game.game
     profile = tuple(game.profile)
-    lowered_entry = parent.__dict__.get(_LOWERED_ATTR)
-    if lowered_entry is not None and lowered_entry[0] is not None:
-        tensor_game = lowered_entry[0]
-        index = tensor_game.state_index.get(profile)
+    for attr in (_LOWERED_ATTR, _LAZY_ATTR):
+        entry = parent.__dict__.get(attr)
+        if entry is None or entry[0] is None:
+            continue
+        lowered = entry[0]
+        index = lowered.state_index.get(profile)
         if index is not None:
-            state = tensor_game.state_tensors[index]
-            return state if state.size <= max_profiles else None
-    lazy_entry = parent.__dict__.get(_LAZY_ATTR)
-    if lazy_entry is not None and lazy_entry[0] is not None:
-        lazy_game = lazy_entry[0]
-        index = lazy_game.state_index.get(profile)
-        if index is not None:
-            # A lazy block's axes are exactly UnderlyingGame.actions (the
-            # state types' feasible lists), so the block *is* the state
-            # lowering — materialize through the bounded cache.
-            if lazy_game.state_sizes[index] > max_profiles:
+            # Size from geometry: an LRU store never tabulates a block
+            # the guard refuses.
+            if lowered.state_sizes[index] > max_profiles:
                 return None
-            return lazy_game.state_block(index)
+            return lowered.state_block(index)
     cache: Dict[Tuple, StateTensor] = parent.__dict__.setdefault(
         _STATE_CACHE_ATTR, {}
     )
@@ -495,11 +477,11 @@ def _row_table(
     where all the ``d_j`` agree.
     """
     group = weights.shape[0]
-    states = [template.state_tensors[s] for s in cond_states]
+    sizes = [template.state_sizes[s] for s in cond_states]
     full = [group]
-    for state in states:
-        stride = state.strides[agent]
-        full += [state.size // (stride * n_dev), n_dev, stride]
+    for s, size in zip(cond_states, sizes):
+        stride = template.state_strides[s][agent]
+        full += [size // (stride * n_dev), n_dev, stride]
     folded = [1 if axis % 3 == 2 and axis > 2 else n for axis, n in enumerate(full)]
     interim = np.zeros(folded, dtype=float)
     for j, s in enumerate(cond_states):
@@ -517,7 +499,7 @@ def _row_table(
     bad = ~(best < np.inf)
     return _RowTable(
         cond_states,
-        _c_strides([state.size for state in states]),
+        _c_strides(sizes),
         np.broadcast_to(good, full).reshape(group, -1),
         np.broadcast_to(bad, full).reshape(group, -1) if bad.any() else None,
     )
@@ -547,7 +529,7 @@ def equilibrium_tables(
     for i, rows in enumerate(template._cond):
         built: List[Optional[_RowTable]] = []
         for (_tpos, cond_states, _w, n_dev), weights in zip(rows, cond_weights[i]):
-            cells = product_size(template.state_tensors[s].size for s in cond_states)
+            cells = product_size(template.state_sizes[s] for s in cond_states)
             if len(cond_states) > 1 and (
                 cells > profiles or group * cells * n_dev > BLOCK_CELLS
             ):
@@ -561,23 +543,42 @@ def equilibrium_tables(
 
 
 class TensorGame:
-    """A :class:`BayesianGame` lowered to index-encoded NumPy form."""
+    """A :class:`BayesianGame` lowered to index-encoded NumPy form.
+
+    Every kernel reads a state's cost block through :meth:`state_block`;
+    ``store`` decides where the blocks live.  A ``list`` is the *pinned*
+    store (:func:`lower_game`: every block tabulated at lowering); a
+    :class:`repro.core.lazy._BlockCache` is the *LRU* store
+    (:func:`repro.core.lazy.lower_game_lazy`: a block is tabulated the
+    first time a kernel touches it and may be evicted afterwards).  Both
+    index as ``store[s]``, and a re-tabulated block is bit-identical to
+    the evicted one, so no kernel result depends on the store.
+    """
 
     def __init__(
         self,
         game: BayesianGame,
         states: List[Tuple],
         probs: np.ndarray,
-        state_tensors: List[StateTensor],
         agents: List[_AgentSpace],
+        state_spaces: List[List[List[Action]]],
+        store,
     ) -> None:
         self.game = game
         self.states = states
         self.probs = probs
-        self.state_tensors = state_tensors
         self.agents = agents
+        self.store = store
         self.state_index = {profile: s for s, profile in enumerate(states)}
-        self.max_state_size = max(state.size for state in state_tensors)
+        # Per-state geometry from the feasible axes alone, so nothing
+        # structural ever needs a materialized block.
+        self.state_shapes = [
+            tuple(len(space) for space in spaces) for spaces in state_spaces
+        ]
+        self.state_strides = [_c_strides(shape) for shape in self.state_shapes]
+        self.state_sizes = [math.prod(shape) for shape in self.state_shapes]
+        self.max_state_size = max(self.state_sizes)
+        self.total_cells = sum(self.state_sizes) * len(agents)
         self.profile_strides = _c_strides(
             [agent.exact_count for agent in agents]
         )
@@ -627,6 +628,21 @@ class TensorGame:
     def num_agents(self) -> int:
         return len(self.agents)
 
+    @property
+    def pinned(self) -> bool:
+        """Whether every block was tabulated at lowering (the pinned
+        store) rather than on demand (the LRU store)."""
+        return isinstance(self.store, list)
+
+    def state_block(self, s: int) -> StateTensor:
+        """Support state ``s``'s :class:`StateTensor` (tabulated on an LRU
+        miss, in the pinned lowering's callback order)."""
+        return self.store[s]
+
+    def cache_stats(self) -> Optional[Dict[str, int]]:
+        """The LRU store's counters, or ``None`` for a pinned store."""
+        return None if self.pinned else self.store.stats()
+
     def profile_count(self) -> float:
         return product_size(agent.count for agent in self.agents)
 
@@ -644,26 +660,90 @@ class TensorGame:
         )
         return max(1, min(1 << 16, BLOCK_CELLS // widest))
 
-    def _equilibrium_tables(self) -> List[List[Optional[_RowTable]]]:
+    def _equilibrium_tables(self) -> Optional[List[List[Optional[_RowTable]]]]:
         """This game's :func:`equilibrium_tables` (one lane), built on
         the first equilibrium-checking sweep and cached on the lowering
-        (so :func:`drop_lowering` frees them with it)."""
+        (so :func:`drop_lowering` frees them with it).
+
+        ``None`` on the LRU store: a table needs every conditional
+        state's costs at once, so those sweeps keep the per-block
+        deviation gather, which touches only the blocks a sweep reads.
+        """
+        if not self.pinned:
+            return None
         if self._eq_tables is None:
             self._eq_tables = equilibrium_tables(
                 self,
-                [state.costs[None] for state in self.state_tensors],
+                [block.costs[None] for block in self.store],
                 [[row[2][None] for row in rows] for rows in self._cond],
             )
         return self._eq_tables
 
     # ------------------------------------------------------------------
-    # the blocked profile sweep
+    # the blocked (optionally restricted) profile sweep
     # ------------------------------------------------------------------
+    def _restricted_axes(
+        self, restrict
+    ) -> Optional[List[List[np.ndarray]]]:
+        """Validated per (agent, position) allowed-digit arrays.
+
+        ``restrict`` is ``None`` (whole space) or a length-``k`` sequence
+        whose entry ``i`` is ``None`` (agent unrestricted) or a
+        per-position sequence of ``None`` (position unrestricted) /
+        iterables of digit positions into that position's choice list.
+        Returns ``None`` when nothing is actually restricted, so the
+        sweep takes the whole-space path.
+        """
+        if restrict is None:
+            return None
+        if len(restrict) != self.num_agents:
+            raise ValueError(
+                f"restrict must cover all {self.num_agents} agents, "
+                f"got {len(restrict)} entries"
+            )
+        axes: List[List[np.ndarray]] = []
+        any_restricted = False
+        for i, agent in enumerate(self.agents):
+            spec = restrict[i]
+            if spec is not None and len(spec) != len(agent.radix):
+                raise ValueError(
+                    f"agent {i}: restrict row must cover all "
+                    f"{len(agent.radix)} type positions, got {len(spec)}"
+                )
+            rows: List[np.ndarray] = []
+            for p, n in enumerate(agent.radix):
+                allowed = None if spec is None else spec[p]
+                if allowed is None:
+                    rows.append(np.arange(n, dtype=np.int64))
+                    continue
+                digits = [int(d) for d in allowed]
+                if not digits:
+                    raise ValueError(
+                        f"agent {i} position {p}: empty restriction"
+                    )
+                if len(set(digits)) != len(digits):
+                    raise ValueError(
+                        f"agent {i} position {p}: duplicate digits in "
+                        "restriction"
+                    )
+                for d in digits:
+                    if not 0 <= d < n:
+                        raise ValueError(
+                            f"agent {i} position {p}: digit {d} out of "
+                            f"range [0, {n})"
+                        )
+                if len(digits) != n:
+                    any_restricted = True
+                rows.append(np.array(digits, dtype=np.int64))
+            axes.append(rows)
+        return axes if any_restricted else None
+
     def sweep_profiles(
         self,
         max_profiles: int,
         collect_equilibria: bool = False,
         check_equilibria: bool = True,
+        restrict=None,
     ) -> ProfileSweep:
         """One pass computing ``optP`` and equilibrium extreme costs.
 
@@ -672,15 +752,48 @@ class TensorGame:
         the equilibrium fields then report nothing found.  Raises
         :class:`ExplosionError` exactly when the reference
         strategy-profile enumeration would.
+
+        ``restrict`` (see :meth:`_restricted_axes`) enumerates only the
+        sub-box of profiles whose digits lie in the allowed lists, in the
+        same C-order: the guard applies to the *slice* size, and reported
+        indices (``argmin_index``, ``eq_indices``) are full-space flat
+        indices.  The equilibrium check still ranges over every feasible
+        deviation, so a flagged profile is an equilibrium of the whole
+        game, not merely of the slice.  This is the targeted-query
+        primitive for games too big to sweep whole.
         """
-        total_f = self.profile_count()
+        axes = self._restricted_axes(restrict)
+        if axes is None:
+            radix = [agent.radix for agent in self.agents]
+        else:
+            radix = [tuple(len(row) for row in rows) for rows in axes]
+        total_f = product_size(product_size(r) for r in radix)
         if total_f > max_profiles:
             raise ExplosionError("strategy profiles", total_f, max_profiles)
         total = int(total_f)
         k = self.num_agents
-        pstrides = self.profile_strides
-        counts = [agent.exact_count for agent in self.agents]
+        strides = [_c_strides(r) for r in radix]
+        counts = [math.prod(r) for r in radix]
+        pstrides = _c_strides(counts)
         block = self._block_size()
+
+        def digit(strategy, i: int, p: int):
+            """Agent ``i``'s full-space digit at type position ``p``."""
+            d = (strategy // strides[i][p]) % radix[i][p]
+            return d if axes is None else axes[i][p][d]
+
+        def full_index(index: int) -> int:
+            """The full-space flat index of slice profile ``index``."""
+            if axes is None:
+                return index
+            flat = 0
+            for i, agent in enumerate(self.agents):
+                strategy = (index // pstrides[i]) % counts[i]
+                for p, stride in enumerate(agent.strides):
+                    flat += (
+                        self.profile_strides[i] * stride * int(digit(strategy, i, p))
+                    )
+            return flat
 
         opt = float("inf")
         argmin = -1
@@ -699,42 +812,42 @@ class TensorGame:
             # accumulated in prior-support order (the reference fold).
             state_flat: List[np.ndarray] = []
             social = np.zeros(hi - lo, dtype=float)
-            for s, state in enumerate(self.state_tensors):
+            for s in range(len(self.states)):
+                state = self.state_block(s)
                 index = np.zeros(hi - lo, dtype=np.int64)
                 for i in range(k):
-                    digit = (
-                        strat[i] // self._digit_stride[i][s]
-                    ) % self._digit_radix[i][s]
-                    index += state.strides[i] * digit
+                    index += state.strides[i] * digit(
+                        strat[i], i, self._state_pos[i][s]
+                    )
                 state_flat.append(index)
                 social += self.probs[s] * state.social[index]
 
             block_min = float(social.min())
             if block_min < opt:
                 opt = block_min
-                argmin = lo + int(social.argmin())
-            if tables is None:
+                argmin = full_index(lo + int(social.argmin()))
+            if not check_equilibria:
                 continue
 
             ok = np.ones(hi - lo, dtype=bool)
             for i in range(k):
-                for (tpos, cond_states, weights, n_dev), table in zip(
-                    self._cond[i], tables[i]
+                for r, (tpos, cond_states, weights, n_dev) in enumerate(
+                    self._cond[i]
                 ):
+                    table = None if tables is None else tables[i][r]
                     if table is not None:
                         cells = table.cells(state_flat)
                         good = table.good[0][cells]
                         bad = None if table.bad is None else table.bad[0][cells]
                     else:
-                        # Joint row over the table guard: gather the
-                        # (block x n_dev) interim matrix directly.
-                        own = (
-                            strat[i] // self.agents[i].strides[tpos]
-                        ) % self.agents[i].radix[tpos]
+                        # No table (LRU store, or a joint row over the
+                        # table guard): gather the (block x n_dev)
+                        # interim matrix directly.
+                        own = digit(strat[i], i, tpos)
                         deviations = np.arange(n_dev, dtype=np.int64)
                         interim = np.zeros((hi - lo, n_dev), dtype=float)
                         for s, q in zip(cond_states, weights):
-                            state = self.state_tensors[s]
+                            state = self.state_block(s)
                             others = state_flat[s] - state.strides[i] * own
                             interim += q * state.costs[i][
                                 others[:, None]
@@ -757,7 +870,7 @@ class TensorGame:
                 best_eq = min(best_eq, float(values.min()))
                 worst_eq = max(worst_eq, float(values.max()))
                 if eq_indices is not None:
-                    eq_indices.extend(int(f) for f in flat[ok])
+                    eq_indices.extend(full_index(int(f)) for f in flat[ok])
 
         return ProfileSweep(
             opt_p=opt,
@@ -791,15 +904,15 @@ class TensorGame:
 
     def opt_c(self) -> float:
         total = 0.0
-        for state, prob in zip(self.state_tensors, self.probs):
-            total += float(prob) * state.optimum()
+        for s, prob in enumerate(self.probs):
+            total += float(prob) * self.state_block(s).optimum()
         return total
 
     def eq_c(self) -> Tuple[float, float]:
         best_total = 0.0
         worst_total = 0.0
-        for s, (state, prob) in enumerate(zip(self.state_tensors, self.probs)):
-            extremes = state.nash_extreme_costs()
+        for s, prob in enumerate(self.probs):
+            extremes = self.state_block(s).nash_extreme_costs()
             if extremes is None:
                 underlying = self.game.underlying_game(self.states[s])
                 raise RuntimeError(
@@ -857,12 +970,13 @@ class TensorGame:
         """Per (agent, positive type): the conditional expected-cost table.
 
         Each row is ``(tpos, n_dev, entries)`` where every entry
-        ``(state_index, weight, costs_row, dev_offsets)`` carries the
-        state's tabulated cost matrix row for the agent plus the
-        precomputed deviation offsets ``stride_i * arange(n_dev)``, so one
-        interim cost vector is a gather-and-accumulate per conditional
-        state — no per-candidate cost callbacks.  Built lazily: profile
-        sweeps never need it.
+        ``(state_index, weight, dev_offsets)`` carries the posterior
+        weight plus the precomputed deviation offsets
+        ``stride_i * arange(n_dev)``, so one interim cost vector is a
+        gather-and-accumulate per conditional state — no per-candidate
+        cost callbacks.  The cost rows themselves are read through
+        :meth:`state_block` per call (an LRU block may be evicted between
+        calls).  Built lazily: profile sweeps never need it.
         """
         if self._interim_tables is None:
             tables: List[List[Tuple]] = []
@@ -871,13 +985,12 @@ class TensorGame:
                 for tpos, cond_states, weights, n_dev in self._cond[i]:
                     entries = []
                     for s, weight in zip(cond_states, weights):
-                        state = self.state_tensors[s]
                         entries.append(
                             (
                                 s,
                                 float(weight),
-                                state.costs[i],
-                                state.strides[i] * np.arange(n_dev, dtype=np.int64),
+                                self.state_strides[s][i]
+                                * np.arange(n_dev, dtype=np.int64),
                             )
                         )
                     rows.append((tpos, n_dev, entries))
@@ -897,13 +1010,13 @@ class TensorGame:
         ``interim_cost_of_action`` calls.
         """
         interim = np.zeros(n_dev, dtype=float)
-        for s, weight, costs_row, dev_offsets in entries:
-            state = self.state_tensors[s]
+        for s, weight, dev_offsets in entries:
+            strides = self.state_strides[s]
             base = 0
             for j in range(self.num_agents):
                 if j != agent:
-                    base += state.strides[j] * digits[j][self._state_pos[j][s]]
-            interim += weight * costs_row[base + dev_offsets]
+                    base += strides[j] * digits[j][self._state_pos[j][s]]
+            interim += weight * self.state_block(s).costs[agent][base + dev_offsets]
         return interim
 
     def interim_best_response(
@@ -973,7 +1086,8 @@ class TensorGame:
         """``K(s)`` for an encoded profile, folded in prior-support order
         (bit-identical to ``BayesianGame.social_cost``)."""
         total = 0.0
-        for s, state in enumerate(self.state_tensors):
+        for s in range(len(self.states)):
+            state = self.state_block(s)
             flat = 0
             for j in range(self.num_agents):
                 flat += state.strides[j] * digits[j][self._state_pos[j][s]]
@@ -994,7 +1108,8 @@ class TensorGame:
         n = self.agents[agent].radix[tpos]
         candidates = np.arange(n, dtype=np.int64)
         vector = np.zeros(n, dtype=float)
-        for s, state in enumerate(self.state_tensors):
+        for s in range(len(self.states)):
+            state = self.state_block(s)
             base = 0
             for j in range(self.num_agents):
                 if j != agent:
@@ -1007,9 +1122,14 @@ class TensorGame:
         return vector
 
     def __repr__(self) -> str:
+        store = (
+            "pinned"
+            if self.pinned
+            else f"lru resident={self.store.cells}/{self.store.budget}"
+        )
         return (
             f"<TensorGame k={self.num_agents} states={len(self.states)} "
-            f"cells={sum(s.size * self.num_agents for s in self.state_tensors)}>"
+            f"cells={self.total_cells} {store}>"
         )
 
 
@@ -1034,7 +1154,7 @@ def batch_signature(lowered: TensorGame) -> Tuple:
     """
     return (
         tuple(agent.radix for agent in lowered.agents),
-        tuple(state.shape for state in lowered.state_tensors),
+        tuple(lowered.state_shapes),
         tuple(tuple(pos) for pos in lowered._state_pos),
         tuple(
             tuple((tpos, tuple(indices), n_dev) for tpos, indices, _w, n_dev in rows)
@@ -1081,17 +1201,17 @@ class BatchTensorGame:
         self.lowered = games
         self.template = template
         self.size = len(games)
-        n_states = len(template.state_tensors)
+        n_states = len(template.states)
         #: (G, S) state probabilities — per-game data.
         self.probs = np.stack([tg.probs for tg in games])
         #: per state: (G, k, N_s) stacked cost tables.
         self.state_costs = [
-            np.stack([tg.state_tensors[s].costs for tg in games])
+            np.stack([tg.state_block(s).costs for tg in games])
             for s in range(n_states)
         ]
         #: per state: (G, N_s) stacked social-cost vectors.
         self.state_social = [
-            np.stack([tg.state_tensors[s].social for tg in games])
+            np.stack([tg.state_block(s).social for tg in games])
             for s in range(n_states)
         ]
         #: per (agent, conditional row): (G, row length) posterior weights.
@@ -1193,13 +1313,13 @@ class BatchTensorGame:
             # costs (data), folded in prior-support order per lane.
             state_flat: List[np.ndarray] = []
             social = np.zeros((group, hi - lo), dtype=float)
-            for s, state in enumerate(template.state_tensors):
+            for s, state_strides in enumerate(template.state_strides):
                 index = np.zeros(hi - lo, dtype=np.int64)
                 for i in range(k):
                     digit = (
                         strat[i] // template._digit_stride[i][s]
                     ) % template._digit_radix[i][s]
-                    index += state.strides[i] * digit
+                    index += state_strides[i] * digit
                 state_flat.append(index)
                 social += probs[:, s, None] * state_social[s][:, index]
 
@@ -1227,12 +1347,9 @@ class BatchTensorGame:
                         deviations = np.arange(n_dev, dtype=np.int64)
                         interim = np.zeros((group, hi - lo, n_dev), dtype=float)
                         for position, s in enumerate(cond_states):
-                            state = template.state_tensors[s]
-                            others = state_flat[s] - state.strides[i] * own
-                            cells = (
-                                others[:, None]
-                                + state.strides[i] * deviations[None, :]
-                            )
+                            stride = template.state_strides[s][i]
+                            others = state_flat[s] - stride * own
+                            cells = others[:, None] + stride * deviations[None, :]
                             interim += (
                                 weights[:, position, None, None]
                                 * state_costs[s][:, i, :][:, cells]
@@ -1322,9 +1439,9 @@ class BatchTensorGame:
         worst_total = np.zeros(group)
         alive = np.ones(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
-        for s, state in enumerate(template.state_tensors):
-            cube = state_costs[s].reshape((group, k) + state.shape)
-            mask = np.ones((group,) + state.shape, dtype=bool)
+        for s, shape in enumerate(template.state_shapes):
+            cube = state_costs[s].reshape((group, k) + shape)
+            mask = np.ones((group,) + shape, dtype=bool)
             for agent in range(k):
                 costs_i = cube[:, agent]
                 best = costs_i.min(axis=1 + agent, keepdims=True)
@@ -1417,17 +1534,17 @@ class BatchTensorGame:
                     deviations = np.arange(n_dev, dtype=np.int64)
                     interim = np.zeros((group, n_dev))
                     for position, s in enumerate(cond_states):
-                        state = template.state_tensors[s]
+                        strides = template.state_strides[s]
                         base = np.zeros(group, dtype=np.int64)
                         for j in range(k):
                             if j != i:
                                 base += (
-                                    state.strides[j]
+                                    strides[j]
                                     * digits[j][:, template._state_pos[j][s]]
                                 )
                         gathered = np.take_along_axis(
                             state_costs[s][:, i, :],
-                            base[:, None] + state.strides[i] * deviations[None, :],
+                            base[:, None] + strides[i] * deviations[None, :],
                             axis=1,
                         )
                         interim += weights[:, position, None] * gathered
@@ -1467,16 +1584,22 @@ class BatchTensorGame:
         )
 
 
-def lower_game(
+def _lower(
     game: BayesianGame,
-    max_action_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
+    max_action_profiles: int,
+    max_cells: float,
+    make_store,
 ) -> Optional[TensorGame]:
-    """Compile a :class:`BayesianGame` to dense tensors, or ``None``.
+    """The structural walk both block stores share.
 
-    Refuses (returning ``None``, so callers fall back to the reference
-    path) when any support state's feasible action product exceeds
-    ``max_action_profiles`` or the dense form would exceed
-    :data:`TENSOR_MAX_CELLS` cells.
+    Builds the support states, their probabilities, the agents'
+    mixed-radix spaces and every state's feasible axes without calling
+    ``game.cost``.  Refuses (``None``) when a state's feasible product
+    exceeds ``max_action_profiles`` or the running cell total exceeds
+    ``max_cells``; otherwise ``make_store(tabulate, num_states)`` builds
+    the store, where ``tabulate(s)`` is state ``s``'s
+    :class:`StateTensor` (one ``game.cost`` call per (agent, cell), in
+    the reference enumeration order).
     """
     support = game.prior.support()
     states = [tuple(profile) for profile, _ in support]
@@ -1497,20 +1620,40 @@ def lower_game(
         if size > max_action_profiles:
             return None
         total_cells += size * k
-        if total_cells > TENSOR_MAX_CELLS:
+        if total_cells > max_cells:
             return None
         state_spaces.append(spaces)
 
-    state_tensors: List[StateTensor] = []
-    for profile, spaces in zip(states, state_spaces):
-        costs = _tabulate(
+    def tabulate(s: int) -> StateTensor:
+        profile, spaces = states[s], state_spaces[s]
+        return StateTensor(
             spaces,
-            lambda agent, actions, _profile=profile: game.cost(
-                agent, _profile, actions
+            _tabulate(
+                spaces, lambda agent, actions: game.cost(agent, profile, actions)
             ),
         )
-        state_tensors.append(StateTensor(spaces, costs))
-    return TensorGame(game, states, probs, state_tensors, agents)
+
+    store = make_store(tabulate, len(states))
+    return TensorGame(game, states, probs, agents, state_spaces, store)
+
+
+def lower_game(
+    game: BayesianGame,
+    max_action_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
+) -> Optional[TensorGame]:
+    """Compile a :class:`BayesianGame` over the pinned store, or ``None``.
+
+    Every state's block is tabulated here.  Refuses (returning ``None``,
+    so callers fall back to the reference path) when any support state's
+    feasible action product exceeds ``max_action_profiles`` or the dense
+    form would exceed :data:`TENSOR_MAX_CELLS` cells.
+    """
+    return _lower(
+        game,
+        max_action_profiles,
+        TENSOR_MAX_CELLS,
+        lambda tabulate, n: [tabulate(s) for s in range(n)],
+    )
 
 
 def maybe_lower(
@@ -1520,14 +1663,15 @@ def maybe_lower(
 ):
     """Cached lowering honoring the engine switch, guards, and ``mode``.
 
-    ``mode="full"`` is the historical behavior: a dense
-    :class:`TensorGame` or ``None``.  ``mode="lazy"`` compiles only the
-    on-demand tier (:class:`repro.core.lazy.LazyTensorGame`) or ``None``.
-    ``mode="auto"`` prefers dense and falls back to lazy exactly where
-    dense lowering refuses on the :data:`TENSOR_MAX_CELLS` guard (the
-    per-state ``max_action_profiles`` guard refuses both tiers).  Each
-    tier caches its result — including the refusal — on the game object;
-    :func:`drop_lowering` releases both.
+    The mode only picks the block store of the returned
+    :class:`TensorGame`.  ``mode="full"`` is the historical behavior: a
+    pinned lowering (:func:`lower_game`) or ``None``.  ``mode="lazy"``
+    compiles only the LRU store (:func:`repro.core.lazy.lower_game_lazy`)
+    or ``None``.  ``mode="auto"`` prefers pinned and falls back to LRU
+    exactly where pinning refuses on the :data:`TENSOR_MAX_CELLS` guard
+    (the per-state ``max_action_profiles`` guard refuses both stores).
+    Each store caches its result — including the refusal — on the game
+    object; :func:`drop_lowering` releases both.
     """
     if mode not in LOWER_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {LOWER_MODES}")
@@ -1549,7 +1693,7 @@ def maybe_lower(
                 return lowered
         if mode == "full":
             return None
-    # lazy tier (mode in {"auto", "lazy"}); local import breaks the cycle.
+    # LRU store (mode in {"auto", "lazy"}); local import breaks the cycle.
     from .lazy import lower_game_lazy
 
     entry = game.__dict__.get(_LAZY_ATTR)
@@ -1569,7 +1713,7 @@ def maybe_lower(
 def drop_lowering(game: BayesianGame) -> None:
     """Release every lowered form cached on ``game``.
 
-    Clears the dense and lazy Bayesian lowerings (including cached
+    Clears the pinned and LRU Bayesian lowerings (including cached
     refusals) and the per-state :class:`StateTensor` cache.  The next
     lowering request simply recompiles; nothing about the game itself
     changes.  The service registry calls this on LRU eviction so evicted

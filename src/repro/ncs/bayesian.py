@@ -119,11 +119,12 @@ class BayesianNCSGame:
         Cached on the core game; ``None`` when the game exceeds the
         lowering guards or the reference engine is forced.  With the
         default ``mode="auto"``, games too big for the dense cell guard
-        come back as a :class:`repro.core.lazy.LazyTensorGame` whose
-        Dijkstra-backed per-state cost blocks materialize on demand the
-        first time a kernel touches each state; ``mode="full"`` restores
-        the historical dense-or-``None`` behavior, ``mode="lazy"``
-        requests only the on-demand tier.
+        come back over the LRU block store
+        (:func:`repro.core.lazy.lower_game_lazy`), whose Dijkstra-backed
+        per-state cost blocks are tabulated the first time a kernel
+        touches each state; ``mode="full"`` restores the historical
+        pinned-or-``None`` behavior, ``mode="lazy"`` requests only the
+        LRU store.
         """
         from ..core import tensor
 
@@ -272,10 +273,10 @@ class BayesianNCSGame:
         tables (:meth:`repro.core.tensor.TensorGame.best_response_dynamics`)
         — the same fixed-point semantics over the cataloged simple-path
         actions, but without per-step Dijkstra runs or Python cost
-        callbacks.  Games too big for the dense cell guard get the lazy
-        tier (:class:`repro.core.lazy.LazyTensorGame`): identical kernel,
-        per-state cost blocks tabulated on first touch and held in a
-        bounded LRU.  The Dijkstra sweep below remains the path for games
+        callbacks.  Games too big for the dense cell guard get the LRU
+        block store (:func:`repro.core.lazy.lower_game_lazy`): the same
+        kernel, per-state cost blocks tabulated on first touch and held
+        in a bounded LRU.  The Dijkstra sweep below remains the path for games
         beyond even the per-state guard (and the reference when
         ``REPRO_ENGINE=reference`` is pinned); on exact-tie steps the two
         paths may select different — equally cheap — equilibria.

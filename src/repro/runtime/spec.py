@@ -89,10 +89,6 @@ def canonical_digest(payload: Any) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-#: Backwards-compatible private alias (pre-shard-scheduler name).
-_canonical_digest = canonical_digest
-
-
 def _version_salt() -> str:
     from .. import __version__
 
@@ -126,7 +122,7 @@ class UnitTask:
             from ..core.tensor import get_engine
 
             engine = get_engine()
-        return _canonical_digest(
+        return canonical_digest(
             {
                 "task": self.task,
                 "params": self.params,
@@ -145,7 +141,7 @@ class UnitTask:
         on an evaluation engine up front.  :meth:`key` — the *cache*
         address — is this plus the engine the value was computed under.
         """
-        return _canonical_digest(
+        return canonical_digest(
             {
                 "task": self.task,
                 "params": self.params,
@@ -242,7 +238,7 @@ class ScenarioSpec:
     def spec_hash(self) -> str:
         payload = self.to_json()
         payload["version"] = _version_salt()
-        return _canonical_digest(payload)
+        return canonical_digest(payload)
 
 
 @dataclass(frozen=True)
@@ -297,4 +293,4 @@ class SweepSpec:
     def spec_hash(self) -> str:
         payload = self.to_json()
         payload["version"] = _version_salt()
-        return _canonical_digest(payload)
+        return canonical_digest(payload)

@@ -58,10 +58,10 @@ class TestFromSessions:
             GameSession(population_game("tiny-2x2x2s2", 0), engine="reference"),
             GameSession(population_game("tiny-2x2x2s2", 1), engine="reference"),
         ]
-        batch = BatchSession.of(sessions)
+        batch = BatchSession.from_sessions(sessions)
         assert len(batch) == 2
         with pytest.raises(ValueError, match="share an engine"):
-            BatchSession.of(
+            BatchSession.from_sessions(
                 sessions
                 + [GameSession(population_game("tiny-2x2x2s2", 2), engine="auto")]
             )

@@ -132,8 +132,8 @@ class TestScanParity:
         optima = batch.state_optima()
         for g, tg in enumerate(lowered):
             assert float(totals[g]) == tg.opt_c()
-            for s, state in enumerate(tg.state_tensors):
-                assert float(optima[g, s]) == state.optimum()
+            for s in range(len(tg.states)):
+                assert float(optima[g, s]) == tg.state_block(s).optimum()
 
     def test_eq_c_matches_per_game_including_no_nash_errors(self):
         games, lowered = _family("tiny-2x2x2s2", 12)
@@ -201,9 +201,9 @@ def test_stacked_tensors_are_game_major_copies():
     games, lowered = _family("tiny-2x2x2s2", 4)
     batch = tensor.BatchTensorGame(lowered)
     assert batch.probs.shape == (4, len(lowered[0].states))
-    for s, state in enumerate(lowered[0].state_tensors):
-        assert batch.state_costs[s].shape == (4,) + lowered[0].state_tensors[s].costs.shape
+    for s in range(len(lowered[0].states)):
+        assert batch.state_costs[s].shape == (4,) + lowered[0].state_block(s).costs.shape
         for g, tg in enumerate(lowered):
             assert np.array_equal(
-                batch.state_costs[s][g], tg.state_tensors[s].costs
+                batch.state_costs[s][g], tg.state_block(s).costs
             )

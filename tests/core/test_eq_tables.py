@@ -77,7 +77,7 @@ def _brute_force_row(lowered, agent, row):
     """Scalar fold of one row over every own-digit-consistent joint cell:
     ``{joint_cell: (good, bad)}``."""
     _tpos, cond_states, weights, n_dev = lowered._cond[agent][row]
-    states = [lowered.state_tensors[s] for s in cond_states]
+    states = [lowered.state_block(s) for s in cond_states]
     joint_strides = tensor._c_strides([state.size for state in states])
     verdicts = {}
     for cells in product(*(range(state.size) for state in states)):
@@ -131,7 +131,7 @@ class TestTables:
                 if len(cond_states) != 1:
                     continue
                 verdicts = _brute_force_row(lowered, agent, row)
-                assert len(verdicts) == lowered.state_tensors[cond_states[0]].size
+                assert len(verdicts) == lowered.state_sizes[cond_states[0]]
                 for cell, (good, _bad) in verdicts.items():
                     assert bool(tables[agent][row].good[0, cell]) is good
 
@@ -175,7 +175,7 @@ class TestGatherFallback:
         _tpos, cond_states, _w, n_dev = tabled._cond[agent][row]
         joint = n_dev
         for s in cond_states:
-            joint *= tabled.state_tensors[s].size
+            joint *= tabled.state_sizes[s]
         monkeypatch.setattr(tensor, "BLOCK_CELLS", joint - 1)
         gathered = tensor.lower_game(game)
         tables = gathered._equilibrium_tables()

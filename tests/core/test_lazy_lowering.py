@@ -1,14 +1,14 @@
-"""Unit tests for the lazy sparse lowering (``repro.core.lazy``).
+"""Unit tests for the LRU block store (``repro.core.lazy``).
 
 The engine-fuzz suite (``tests/engine_fuzz/test_lazy_fuzz.py``) owns the
 randomized three-way value-parity battery; this file pins down the
 *contract*: block-cache accounting and eviction, the ``lower_game_lazy``
-guards, ``maybe_lower`` mode semantics and per-tier caching,
+guards, ``maybe_lower`` mode semantics and per-store caching,
 ``drop_lowering`` across every owner (game, session, NCS wrapper,
-service registry), restricted sweeps against brute-force enumeration,
-and the acceptance path — a game whose full tabulation exceeds the dense
-cell guard runs dynamics and targeted queries on the lazy tier with no
-reference fallback.
+service registry), restricted sweeps on both stores against brute-force
+enumeration, and the acceptance path — a game whose full tabulation
+exceeds the dense cell guard runs dynamics and targeted queries on the
+LRU store with no reference fallback.
 """
 
 import itertools
@@ -31,7 +31,6 @@ from repro.core import (
     BayesianGame,
     CommonPrior,
     GameSession,
-    LazyTensorGame,
     lower_game_lazy,
     query,
 )
@@ -70,6 +69,15 @@ def _block(num_actions: int) -> StateTensor:
     return StateTensor([list(range(num_actions))], np.zeros((1, num_actions)))
 
 
+def _cache(budget: int) -> _BlockCache:
+    """A cache whose miss path builds a ``s + 1``-cell block."""
+    return _BlockCache(budget, lambda s: _block(s + 1))
+
+
+def _is_lru(lowered) -> bool:
+    return isinstance(lowered, TensorGame) and not lowered.pinned
+
+
 # ----------------------------------------------------------------------
 # _BlockCache
 # ----------------------------------------------------------------------
@@ -77,10 +85,10 @@ def _block(num_actions: int) -> StateTensor:
 class TestBlockCache:
     def test_rejects_non_positive_budget(self):
         with pytest.raises(ValueError, match="cache budget"):
-            _BlockCache(0)
+            _cache(0)
 
     def test_hit_miss_counters_and_lru_membership(self):
-        cache = _BlockCache(100)
+        cache = _cache(100)
         assert cache.get(0) is None
         block = _block(3)
         cache.put(0, block)
@@ -91,7 +99,7 @@ class TestBlockCache:
         assert cache.cells == 3
 
     def test_evicts_least_recently_used_first(self):
-        cache = _BlockCache(6)
+        cache = _cache(6)
         cache.put(0, _block(2))
         cache.put(1, _block(2))
         cache.put(2, _block(2))
@@ -103,7 +111,7 @@ class TestBlockCache:
         assert cache.cells == 6
 
     def test_oversized_block_is_admitted_alone(self):
-        cache = _BlockCache(4)
+        cache = _cache(4)
         cache.put(0, _block(2))
         cache.put(1, _block(9))  # bigger than the whole budget
         assert 0 not in cache and 1 in cache
@@ -113,7 +121,7 @@ class TestBlockCache:
         assert cache.cells == 2
 
     def test_replacing_a_resident_key_does_not_double_count(self):
-        cache = _BlockCache(100)
+        cache = _cache(100)
         cache.put(0, _block(4))
         cache.put(0, _block(6))
         assert cache.cells == 6
@@ -121,7 +129,7 @@ class TestBlockCache:
         assert cache.evictions == 0
 
     def test_drop_releases_blocks_but_keeps_history(self):
-        cache = _BlockCache(100)
+        cache = _cache(100)
         cache.put(0, _block(4))
         cache.get(0)
         cache.drop()
@@ -129,6 +137,14 @@ class TestBlockCache:
         assert cache.cells == 0
         assert cache.hits == 1
         assert cache.get(0) is None  # re-materialization is a miss
+
+    def test_indexing_tabulates_on_a_miss_only(self):
+        cache = _cache(100)
+        block = cache[2]
+        assert block.size == 3
+        assert (cache.hits, cache.misses, cache.cells) == (0, 1, 3)
+        assert cache[2] is block
+        assert (cache.hits, cache.misses) == (1, 1)
 
 
 # ----------------------------------------------------------------------
@@ -143,10 +159,15 @@ class TestLowerGameLazy:
         assert dense is not None and lazy is not None
         assert lazy.states == dense.states
         assert np.array_equal(lazy.probs, dense.probs)
-        assert lazy.state_shapes == [s.shape for s in dense.state_tensors]
-        assert lazy.state_sizes == [s.size for s in dense.state_tensors]
-        assert lazy.total_cells == sum(
-            s.size * s.num_agents for s in dense.state_tensors
+        blocks = [dense.state_block(s) for s in range(len(dense.states))]
+        assert dense.pinned and not lazy.pinned
+        assert lazy.state_shapes == dense.state_shapes == [b.shape for b in blocks]
+        assert lazy.state_sizes == dense.state_sizes == [b.size for b in blocks]
+        assert lazy.state_strides == dense.state_strides == [
+            b.strides for b in blocks
+        ]
+        assert lazy.total_cells == dense.total_cells == sum(
+            b.size * b.num_agents for b in blocks
         )
         assert lazy.profile_strides == dense.profile_strides
         assert lazy.profile_count() == dense.profile_count()
@@ -160,7 +181,7 @@ class TestLowerGameLazy:
         for s in range(len(lazy.states)):
             block = lazy.state_block(s)
             for i in range(lazy.num_agents):
-                assert np.array_equal(block.costs[i], dense.state_tensors[s].costs[i])
+                assert np.array_equal(block.costs[i], dense.state_block(s).costs[i])
 
     def test_per_state_guard_refuses(self):
         game = skew_game()
@@ -171,13 +192,13 @@ class TestLowerGameLazy:
         game = skew_game()
         assert lower_game(game) is None  # dense refuses on total cells
         lazy = lower_game_lazy(game)  # lazy does not
-        assert isinstance(lazy, LazyTensorGame)
+        assert _is_lru(lazy)
 
     def test_default_budget_tracks_the_cell_guard(self, monkeypatch):
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 7)
         assert default_cache_cells() == 28
         lazy = lower_game_lazy(skew_game())
-        assert lazy.cache.budget == 28
+        assert lazy.store.budget == 28
 
     def test_eviction_churn_stays_correct(self):
         game = skew_game()
@@ -189,7 +210,7 @@ class TestLowerGameLazy:
             for s in (0, 1, 0):
                 block = lazy.state_block(s)
                 assert np.array_equal(
-                    block.costs[0], dense.state_tensors[s].costs[0]
+                    block.costs[0], dense.state_block(s).costs[0]
                 )
         stats = lazy.cache_stats()
         assert stats["evictions"] > 0
@@ -198,11 +219,11 @@ class TestLowerGameLazy:
 
     def test_peek_block_has_no_side_effects(self):
         lazy = lower_game_lazy(skew_game())
-        assert lazy.peek_block(0) is None
+        assert lazy.store.peek(0) is None
         stats = lazy.cache_stats()
         assert stats["misses"] == 0 and stats["hits"] == 0
         block = lazy.state_block(0)
-        assert lazy.peek_block(0) is block
+        assert lazy.store.peek(0) is block
 
 
 # ----------------------------------------------------------------------
@@ -222,17 +243,18 @@ class TestMaybeLowerModes:
 
     def test_full_mode_is_dense_or_none(self, monkeypatch):
         game = skew_game()
-        assert isinstance(maybe_lower(game, mode="full"), TensorGame)
+        assert maybe_lower(game, mode="full").pinned
+        assert maybe_lower(game, mode="full").cache_stats() is None
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         assert maybe_lower(skew_game(), mode="full") is None
 
     def test_auto_prefers_dense_then_falls_to_lazy(self, monkeypatch):
         game = skew_game()
-        assert isinstance(maybe_lower(game, mode="auto"), TensorGame)
+        assert maybe_lower(game, mode="auto").pinned
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         big = skew_game()
         lowered = maybe_lower(big, mode="auto")
-        assert isinstance(lowered, LazyTensorGame)
+        assert _is_lru(lowered)
         # Both tiers cached on the game object: dense refusal + lazy hit.
         assert big.__dict__[_LOWERED_ATTR][0] is None
         assert big.__dict__[_LAZY_ATTR][0] is lowered
@@ -241,7 +263,7 @@ class TestMaybeLowerModes:
     def test_lazy_mode_skips_the_dense_tier(self):
         game = skew_game()
         lowered = maybe_lower(game, mode="lazy")
-        assert isinstance(lowered, LazyTensorGame)
+        assert _is_lru(lowered)
         assert _LOWERED_ATTR not in game.__dict__
         assert maybe_lower(game, mode="lazy") is lowered
 
@@ -253,7 +275,7 @@ class TestMaybeLowerModes:
         assert game.__dict__[_LAZY_ATTR] == (None, 8)
         assert maybe_lower(game, max_action_profiles=8, mode="auto") is None
         # A looser guard invalidates the cached refusal.
-        assert isinstance(maybe_lower(game, mode="auto"), TensorGame)
+        assert maybe_lower(game, mode="auto").pinned
 
     def test_drop_lowering_releases_every_cached_form(self):
         game = skew_game()
@@ -269,7 +291,7 @@ class TestMaybeLowerModes:
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = skew_game()
         lazy = maybe_lower(game, mode="auto")
-        assert isinstance(lazy, LazyTensorGame)
+        assert _is_lru(lazy)
         state = game.prior.support()[0][0]
         underlying = game.underlying_game(state)
         block = maybe_state_tensor(underlying)
@@ -277,17 +299,29 @@ class TestMaybeLowerModes:
         # Per-call guard below the block size: refuse, don't materialize.
         assert maybe_state_tensor(underlying, max_profiles=1) is None
 
+    def test_maybe_state_tensor_reuses_pinned_blocks(self):
+        game = skew_game()
+        dense = maybe_lower(game, mode="full")
+        state = game.prior.support()[1][0]
+        underlying = game.underlying_game(state)
+        block = maybe_state_tensor(underlying)
+        assert block is dense.state_block(dense.state_index[tuple(state)])
+        assert maybe_state_tensor(underlying, max_profiles=1) is None
+
 
 # ----------------------------------------------------------------------
 # restricted sweeps
 # ----------------------------------------------------------------------
 
-class TestRestrictedSweep:
-    def _brute_force(self, game, lazy, restrict):
+class _RestrictedSweepCases:
+    """Restricted-sweep contract, run once per block store: ``lower`` is
+    the store's lowering function."""
+
+    def _brute_force(self, game, lowered, restrict):
         """All profiles of the restricted box, via itertools on digits."""
         profiles = []
         per_agent = []
-        for i, agent in enumerate(lazy.agents):
+        for i, agent in enumerate(lowered.agents):
             spec = restrict[i]
             rows = []
             for p, n in enumerate(agent.radix):
@@ -305,15 +339,17 @@ class TestRestrictedSweep:
 
     def test_restricted_sweep_matches_brute_force(self):
         game = skew_game()
-        lazy = lower_game_lazy(game)
+        lowered = self.lower(game)
         restrict = [[[0, 2], [1, 2]], None]
-        sweep = lazy.sweep_profiles(10_000, collect_equilibria=True, restrict=restrict)
-        box = self._brute_force(game, lazy, restrict)
+        sweep = lowered.sweep_profiles(
+            10_000, collect_equilibria=True, restrict=restrict
+        )
+        box = self._brute_force(game, lowered, restrict)
         assert len(box) == 2 * 2 * 3
         costs = [game.social_cost(profile) for profile in box]
         assert math.isclose(sweep.opt_p, min(costs), rel_tol=1e-12)
         # argmin decodes to a profile inside the box achieving the optimum.
-        argmin_profile = lazy.decode_profile(sweep.argmin_index)
+        argmin_profile = lowered.decode_profile(sweep.argmin_index)
         assert argmin_profile in box
         assert math.isclose(
             game.social_cost(argmin_profile), sweep.opt_p, rel_tol=1e-12
@@ -322,33 +358,33 @@ class TestRestrictedSweep:
         # the FULL game (deviations range over the whole feasible lists).
         expected = {p for p in box if is_bayesian_equilibrium(game, p)}
         assert sweep.eq_indices is not None
-        decoded = {lazy.decode_profile(index) for index in sweep.eq_indices}
+        decoded = {lowered.decode_profile(index) for index in sweep.eq_indices}
         assert decoded == expected
         assert sweep.eq_found == bool(expected)
 
     def test_unrestricted_and_full_cover_restrictions_match_dense(self):
         game = skew_game()
         dense = lower_game(game)
-        lazy = lower_game_lazy(game)
+        lowered = self.lower(game)
         baseline = dense.sweep_profiles(10_000, collect_equilibria=True)
         for restrict in (
             None,
             [None, None],
             [[[0, 1], [0, 1, 2]], [[0, 1, 2]]],  # full lists == no restriction
         ):
-            sweep = lazy.sweep_profiles(
+            sweep = lowered.sweep_profiles(
                 10_000, collect_equilibria=True, restrict=restrict
             )
             assert sweep == baseline
 
     def test_guard_applies_to_the_slice_size(self):
-        lazy = lower_game_lazy(skew_game())
+        lowered = self.lower(skew_game())
         restrict = [[[0], [1]], [[0, 2]]]
         # Slice has 2 profiles; full space has 27.
-        sweep = lazy.sweep_profiles(2, restrict=restrict)
+        sweep = lowered.sweep_profiles(2, restrict=restrict)
         assert sweep is not None
         with pytest.raises(ExplosionError) as excinfo:
-            lazy.sweep_profiles(1, restrict=restrict)
+            lowered.sweep_profiles(1, restrict=restrict)
         err = excinfo.value
         assert (err.what, err.size, err.limit) == ("strategy profiles", 2, 1)
 
@@ -363,9 +399,63 @@ class TestRestrictedSweep:
         ],
     )
     def test_restriction_validation(self, restrict, message):
-        lazy = lower_game_lazy(skew_game())
+        lowered = self.lower(skew_game())
         with pytest.raises(ValueError, match=message):
-            lazy.sweep_profiles(10_000, restrict=restrict)
+            lowered.sweep_profiles(10_000, restrict=restrict)
+
+
+class TestRestrictedSweep(_RestrictedSweepCases):
+    """The LRU store: restricted sweeps take the per-block gather."""
+
+    lower = staticmethod(lower_game_lazy)
+
+    def test_pinned_tables_and_lru_gather_agree_on_a_tie_rich_slice(self):
+        """Multi-state rows with integer-valued (tie-rich) costs: the
+        pinned store checks equilibria through its best-response tables,
+        the LRU store through the gather, and the two sweeps of every
+        slice must be equal field for field."""
+        rng = np.random.default_rng(0)
+        table = rng.integers(0, 3, size=(2, 2, 2, 3, 3)).astype(float)
+        prior = CommonPrior({(0, 0): 0.3, (0, 1): 0.2, (1, 0): 0.4, (1, 1): 0.1})
+
+        def cost(agent, profile, actions):
+            return float(table[(agent,) + tuple(profile) + tuple(actions)])
+
+        game = BayesianGame(
+            [[0, 1, 2], [0, 1, 2]], [[0, 1], [0, 1]], prior, cost, name="ties"
+        )
+        pinned = lower_game(game)
+        lru = lower_game_lazy(game, cache_cells=9)
+        tables = pinned._equilibrium_tables()
+        multi = [
+            (i, r)
+            for i, rows in enumerate(pinned._cond)
+            for r, row in enumerate(rows)
+            if len(row[1]) > 1
+        ]
+        assert multi and all(tables[i][r] is not None for i, r in multi)
+        assert lru._equilibrium_tables() is None
+        # Every slice holds at least one of the game's three equilibria.
+        for restrict in (
+            None,
+            [[[0, 2], None], None],
+            [[[1, 2], [0, 2]], [[1, 2], [1]]],
+            [None, [[0, 2], [0, 1]]],
+        ):
+            expected = pinned.sweep_profiles(
+                10_000, collect_equilibria=True, restrict=restrict
+            )
+            assert expected.eq_found
+            assert lru.sweep_profiles(
+                10_000, collect_equilibria=True, restrict=restrict
+            ) == expected
+        assert lru.cache_stats()["evictions"] > 0
+
+
+class TestRestrictedSweepPinned(_RestrictedSweepCases):
+    """The pinned store: restricted sweeps read the equilibrium tables."""
+
+    lower = staticmethod(lower_game)
 
 
 # ----------------------------------------------------------------------
@@ -381,7 +471,8 @@ class TestSessionLazyDispatch:
         session = GameSession(game)
         assert session.lowered() is None  # dense refused...
         kernel = session._kernel()
-        assert isinstance(kernel, LazyTensorGame)  # ...lazy engaged
+        assert _is_lru(kernel)  # ...lazy engaged
+        assert session.lazy_lowered() is kernel
         report = session.evaluate([query("ignorance_report")])[0]
         dynamics = session.best_response_dynamics()
         interim = session.interim_best_response(0, 1, dynamics)
@@ -456,7 +547,7 @@ class TestNCSLazyTier:
     def test_lowered_mode_and_drop(self):
         game = self._game()
         lazy = game.lowered(mode="lazy")
-        assert isinstance(lazy, LazyTensorGame)
+        assert _is_lru(lazy)
         game.drop_lowering()
         assert _LAZY_ATTR not in game.game.__dict__
 
@@ -468,6 +559,6 @@ class TestNCSLazyTier:
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = self._game()
         lazy_profile, lazy_cost = benevolent_descent(game)
-        assert isinstance(game.lowered(), LazyTensorGame)
+        assert _is_lru(game.lowered())
         assert lazy_profile == ref_profile
         assert lazy_cost == ref_cost

@@ -269,7 +269,7 @@ class TestBatchAndPlugins:
 
     def test_batch_of_prebuilt_sessions(self):
         sessions = [GameSession(game) for game in self._games()]
-        rows = BatchSession.of(sessions).evaluate_many([query("opt_p")])
+        rows = BatchSession.from_sessions(sessions).evaluate_many([query("opt_p")])
         assert rows == [[session.opt_p()] for session in sessions]
 
     def test_ncs_session_plugs_in_the_steiner_solver(self):

@@ -28,7 +28,6 @@ from repro.core import (
     maybe_lower,
     nash_extreme_costs,
     opt_p,
-    set_engine,
     state_optimum,
 )
 from repro.core.tensor import StateTensor, lt_array, maybe_state_tensor
@@ -68,8 +67,6 @@ class TestEngineSelection:
         assert get_engine() == before
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            set_engine("gpu")
         with pytest.raises(ValueError):
             with engine_override("gpu"):
                 pass  # pragma: no cover
@@ -145,17 +142,6 @@ class TestEngineSelection:
             thread.join()
         assert not errors
         assert get_engine() == before
-
-    def test_set_engine_is_deprecated_but_functional(self):
-        import repro.core.tensor as tensor_module
-
-        before = tensor_module._default_engine
-        try:
-            with pytest.warns(DeprecationWarning, match="engine_override"):
-                set_engine("reference")
-            assert get_engine() == "reference"
-        finally:
-            tensor_module._default_engine = before
 
     def test_reference_engine_disables_lowering(self, matching_state):
         with engine_override("reference"):
@@ -294,7 +280,7 @@ class TestLoweringInternals:
         lowered = lower_game(matching_state)
         assert lowered is not None
         assert lowered.states == [(0, 0), (1, 0)]
-        state = lowered.state_tensors[0]
+        state = lowered.state_block(0)
         assert isinstance(state, StateTensor)
         # C-order decode reproduces itertools.product over feasible lists.
         assert [state.decode(flat) for flat in range(state.size)] == [

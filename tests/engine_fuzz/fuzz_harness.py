@@ -539,9 +539,8 @@ def run_reference_lazy_battery(
 def run_kernel_battery(spec: TabularGameSpec, lowered) -> Dict[str, Outcome]:
     """Every kernel a lowering exposes, keyed like the reference slice.
 
-    ``lowered`` is a dense ``TensorGame`` or a ``LazyTensorGame`` — the
-    two tiers share the kernel surface, so one battery serves both
-    columns.
+    ``lowered`` is a ``TensorGame`` over either block store — both
+    run the same kernels, so one battery serves both columns.
     """
     from repro.core.strategy import DEFAULT_MAX_PROFILES
 
@@ -631,10 +630,10 @@ def check_lazy_spec(
     dense_col = run_kernel_battery(spec, dense)
     lazy_col = run_kernel_battery(spec, lazy)
     cells = sum(
-        block.size * block.num_agents for block in lazy.cache._blocks.values()
+        block.size * block.num_agents for block in lazy.store._blocks.values()
     )
-    assert lazy.cache.cells == cells, (
-        f"block cache accounting drifted: tracked {lazy.cache.cells} cells, "
+    assert lazy.store.cells == cells, (
+        f"block cache accounting drifted: tracked {lazy.store.cells} cells, "
         f"resident blocks hold {cells}"
     )
     disagreements = [

@@ -1,21 +1,24 @@
-"""Randomized three-way differential tests for the lazy lowering.
+"""Randomized three-way differential tests for the LRU block store.
 
 Every seeded fuzz game small enough to lower densely runs three ways —
-the reference Python loops, the dense ``TensorGame`` kernels, and the
-``LazyTensorGame`` kernels under a deliberately tiny block cache (so
-blocks evict and re-materialize mid-battery) — with exact-agreement
+the reference Python loops, ``TensorGame`` over the pinned store, and
+``TensorGame`` over the LRU store under a deliberately tiny block cache
+(so blocks evict and re-materialize mid-battery) — with exact-agreement
 asserts over values *and* exceptions, including the structured
-``ExplosionError(what, size, limit)`` payload.  A failure shrinks the
-game to a local minimum and fails with a self-contained repro.
+``ExplosionError(what, size, limit)`` payload.  The kernels are shared,
+so the battery tests the store.  A failure shrinks the game to a local
+minimum and fails with a self-contained repro.
 
-The fault-injection self-tests corrupt the block cache on purpose
-(skewed re-materialization, broken LRU accounting) and demand the
-battery catches it — proof the three-way comparison actually bites.
+The fault-injection self-tests corrupt the LRU store on purpose (skewed
+re-materialization on its miss path, broken LRU accounting) and demand
+the battery catches it — proof the three-way comparison actually bites.
+Every fault is patched into :class:`_BlockCache`, which the pinned
+column never touches.
 """
 
 import pytest
 
-from repro.core.lazy import LazyTensorGame, _BlockCache, lower_game_lazy
+from repro.core.lazy import _BlockCache, lower_game_lazy
 from repro.core.tensor import StateTensor
 
 from fuzz_games import spec_for_seed
@@ -85,23 +88,24 @@ class TestHarnessDetectsFaults:
     def test_skewed_rematerialization_is_caught_and_minimized(
         self, monkeypatch
     ):
-        """Corrupt blocks on *re*-materialization only: the first
-        tabulation is clean, so only eviction churn exposes the fault —
-        exactly the block-cache path the battery targets."""
-        original = LazyTensorGame.state_block
+        """Corrupt blocks on *re*-materialization only: the LRU store's
+        miss path tabulates cleanly the first time, so only eviction
+        churn exposes the fault — exactly the path the battery targets."""
+        original_init = _BlockCache.__init__
 
-        def skewed(self, s):
-            visited = self.__dict__.setdefault("_fuzz_visited", set())
-            first_visit = s not in visited
-            visited.add(s)
-            block = original(self, s)
-            if first_visit:
+        def skewed_init(self, budget, tabulate):
+            tabulated = set()
+
+            def skewed(s):
+                block = tabulate(s)
+                if s in tabulated:
+                    block = StateTensor(block.actions, block.costs + 0.125)
+                tabulated.add(s)
                 return block
-            skewed_block = StateTensor(block.actions, block.costs + 0.125)
-            self.cache.put(s, skewed_block)
-            return skewed_block
 
-        monkeypatch.setattr(LazyTensorGame, "state_block", skewed)
+            original_init(self, budget, skewed)
+
+        monkeypatch.setattr(_BlockCache, "__init__", skewed_init)
         found = self._failing_seed()
         assert found is not None, "skewed re-materialization went undetected"
         seed, spec, mismatch = found

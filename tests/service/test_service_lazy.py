@@ -3,7 +3,7 @@
 A server whose sessions land on the lazy lowering (the dense cell guard
 is patched down so full tabulation refuses) must ship the exact same
 structured error bodies as the dense tier: an ``ExplosionError`` raised
-inside :meth:`LazyTensorGame.sweep_profiles` crosses the wire and is
+inside an LRU-store :meth:`TensorGame.sweep_profiles` crosses the wire and is
 rebuilt client-side with the identical message and ``(what, size,
 limit)`` payload the in-process session raises.
 """
@@ -12,7 +12,6 @@ import pytest
 
 from repro._util import ExplosionError
 from repro.core import tensor
-from repro.core.lazy import LazyTensorGame
 from repro.core.session import GameSession, query
 from repro.service import ServiceClient, start_local_server
 
@@ -28,7 +27,7 @@ def _local_explosion(spec):
     try:
         session.evaluate([query("opt_p")])
     except ExplosionError as error:
-        assert isinstance(session._kernel(), LazyTensorGame)
+        assert session.lazy_lowered() is session._kernel()
         return error
     return None
 
@@ -51,7 +50,7 @@ def test_lazy_explosion_payload_crosses_the_wire(monkeypatch):
                 # no dense form and no reference fallback.
                 session = server.registry.get(game_key).session
                 assert session.lowered() is None
-                assert isinstance(session._kernel(), LazyTensorGame)
+                assert session.lazy_lowered() is session._kernel() is not None
                 with pytest.raises(ExplosionError) as excinfo:
                     client.evaluate(game_key, [query("opt_p")])
                 remote = excinfo.value
