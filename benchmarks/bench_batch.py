@@ -9,7 +9,7 @@ benchmarks/bench_batch.py``, the CI smoke step):
    best-response dynamics) over :data:`N_GAMES` members of one
    same-shape population family — every member fresh-built, lowered,
    and evaluated — is at least :data:`TARGET_SPEEDUP` times faster
-   through ``BatchSession.evaluate_many(kernels="soa")`` (one
+   through ``BatchSession.evaluate_many(kernels="auto")`` (one
    structure-of-arrays bucket, one NumPy call per kernel) than through
    the looped per-game path.
 2. **Bit-identical rows, errors included.**  Every game's row — values
@@ -117,7 +117,7 @@ def run_looped():
 def run_soa():
     """The batch path: one ``BatchSession`` over the whole population."""
     batch = BatchSession.from_sessions(fresh_sessions())
-    tables = batch.evaluate_many(BUNDLE, kernels="soa", on_error="capture")
+    tables = batch.evaluate_many(BUNDLE, kernels="auto", on_error="capture")
     return [_fold(row) for row in tables], batch
 
 

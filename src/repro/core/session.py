@@ -280,65 +280,81 @@ class GameSession:
     # ------------------------------------------------------------------
     # the two shared enumeration primitives
     # ------------------------------------------------------------------
-    def _profile_sweep(self, need_eq: bool, collect: bool) -> tensor.ProfileSweep:
-        """Memoized blocked sweep at (at least) the given capability.
+    @staticmethod
+    def _served(
+        memo: Dict[Tuple[bool, bool], Tuple[str, Any]],
+        need_eq: bool,
+        collect: bool,
+    ) -> Optional[Tuple[str, Any]]:
+        """The memo entry that serves a request, or ``None``: the
+        capability lattice shared by both enumeration memos.
 
-        A cached sweep serves any request it subsumes; a cached *error*
-        is re-raised only where the matching free function would raise
-        it (an :class:`ExplosionError` hits every capability level, an
-        equilibrium-check error only equilibrium-needing requests — a
-        plain ``opt_p`` then runs its own check-free sweep, exactly like
-        the free function).
+        A cached result serves any request it subsumes.  A cached *error*
+        serves only where the matching free function would raise it: a
+        check-free pass's work is a prefix of every pass, and the
+        :class:`ExplosionError` guard trips identically at every
+        capability level, so those errors serve all requests; an
+        equilibrium-check error serves only equilibrium-needing requests
+        (a plain ``opt_p`` then runs its own check-free pass, exactly
+        like the free function).
         """
         need_eq = need_eq or collect
-        for (eq, col), (kind, payload) in self._sweeps.items():
-            if kind == "ok" and (eq or not need_eq) and (col or not collect):
-                return payload
-        for (eq, _), (kind, payload) in self._sweeps.items():
-            # A check-free sweep's work is a prefix of every sweep, and the
-            # explosion guard trips identically at every capability level,
-            # so those errors serve all requests.  An equilibrium-check
-            # error serves only equilibrium-needing requests — a plain
-            # ``opt_p`` still gets its own check-free sweep below.
-            if kind == "err" and (
-                not eq or need_eq or isinstance(payload[0], ExplosionError)
+        for (eq, col), entry in memo.items():
+            if entry[0] == "ok" and (eq or not need_eq) and (col or not collect):
+                return entry
+        for (eq, _), entry in memo.items():
+            if entry[0] == "err" and (
+                not eq or need_eq or isinstance(entry[1][0], ExplosionError)
             ):
+                return entry
+        return None
+
+    def _capable(
+        self,
+        memo: Dict[Tuple[bool, bool], Tuple[str, Any]],
+        need_eq: bool,
+        collect: bool,
+        run: Callable[[bool, bool], Any],
+    ) -> Any:
+        """The :meth:`_served` result (or re-raised error), else
+        ``run(need_eq, collect)`` under the session's engine, memoized
+        outcome and all."""
+        need_eq = need_eq or collect
+        served = self._served(memo, need_eq, collect)
+        if served is not None:
+            kind, payload = served
+            if kind == "err":
                 _raise_memoized(*payload)
-        lowered = self._kernel()
-        assert lowered is not None, "profile sweep needs a lowered game"
+            return payload
         try:
             with self._scope():
-                sweep = lowered.sweep_profiles(
-                    self.max_strategy_profiles,
-                    collect_equilibria=collect,
-                    check_equilibria=need_eq,
-                )
+                result = run(need_eq, collect)
         except Exception as error:
-            self._sweeps[(need_eq, collect)] = (
-                "err", (error, error.__traceback__)
-            )
+            memo[(need_eq, collect)] = ("err", (error, error.__traceback__))
             raise
-        self._sweeps[(need_eq, collect)] = ("ok", sweep)
-        return sweep
+        memo[(need_eq, collect)] = ("ok", result)
+        return result
+
+    def _profile_sweep(self, need_eq: bool, collect: bool) -> tensor.ProfileSweep:
+        """Memoized blocked sweep at (at least) the given capability
+        (see :meth:`_served`)."""
+
+        def run(need_eq: bool, collect: bool) -> tensor.ProfileSweep:
+            lowered = self._kernel()
+            assert lowered is not None, "profile sweep needs a lowered game"
+            return lowered.sweep_profiles(
+                self.max_strategy_profiles,
+                collect_equilibria=collect,
+                check_equilibria=need_eq,
+            )
+
+        return self._capable(self._sweeps, need_eq, collect, run)
 
     def _sweep_cached(self, need_eq: bool, collect: bool) -> bool:
-        """Whether :meth:`_profile_sweep` would answer from cache.
-
-        Mirrors the capability lattice exactly (ok entries serve what
-        they subsume; explosion errors serve everything; equilibrium-
-        check errors serve only equilibrium-needing requests), so the
+        """Whether :meth:`_profile_sweep` would answer from cache, so the
         batched dispatch can skip games the memo already covers — warm
-        service sessions never pay a redundant kernel pass.
-        """
-        need_eq = need_eq or collect
-        for (eq, col), (kind, payload) in self._sweeps.items():
-            if kind == "ok" and (eq or not need_eq) and (col or not collect):
-                return True
-            if kind == "err" and (
-                not eq or need_eq or isinstance(payload[0], ExplosionError)
-            ):
-                return True
-        return False
+        service sessions never pay a redundant kernel pass."""
+        return self._served(self._sweeps, need_eq, collect) is not None
 
     def _reference_scan(self, need_eq: bool, collect: bool = False) -> _Scan:
         """Memoized reference-path enumeration (one pass, all aggregates).
@@ -347,30 +363,19 @@ class GameSession:
         ``enumerate_strategy_profiles`` order, running ``min``/``max``
         updates — so every value is bit-identical to the corresponding
         free function's own enumeration.  The same capability lattice as
-        :meth:`_profile_sweep` applies: a cached scan serves requests it
-        subsumes, a check-free scan's errors (its work is a prefix of
-        every scan) and the explosion guard serve all requests, and an
-        equilibrium-check error serves only equilibrium-needing ones.
+        :meth:`_profile_sweep` applies (see :meth:`_served`).
         """
-        need_eq = need_eq or collect
-        for (eq, col), (kind, payload) in self._scans.items():
-            if kind == "ok" and (eq or not need_eq) and (col or not collect):
-                return payload
-        for (eq, _), (kind, payload) in self._scans.items():
-            if kind == "err" and (
-                not eq or need_eq or isinstance(payload[0], ExplosionError)
-            ):
-                _raise_memoized(*payload)
-        try:
-            with self._scope():
-                scan = self._run_reference_scan(need_eq, collect)
-        except Exception as error:
-            self._scans[(need_eq, collect)] = (
-                "err", (error, error.__traceback__)
-            )
-            raise
-        self._scans[(need_eq, collect)] = ("ok", scan)
-        return scan
+        return self._capable(self._scans, need_eq, collect, self._run_reference_scan)
+
+    def _enumeration(
+        self, need_eq: bool, collect: bool = False
+    ) -> tensor.ProfileSweep | _Scan:
+        """The memoized pass at (at least) the given capability: the
+        lowered profile sweep, else the reference scan.  Both carry
+        ``opt_p``, ``best_eq``, ``worst_eq`` and ``eq_found``."""
+        if self._kernel() is not None:
+            return self._profile_sweep(need_eq, collect)
+        return self._reference_scan(need_eq, collect)
 
     def _run_reference_scan(self, need_eq: bool, collect: bool) -> _Scan:
         opt = float("inf")
@@ -406,9 +411,7 @@ class GameSession:
     # ------------------------------------------------------------------
     def opt_p(self) -> float:
         """``optP``; shares the session's profile sweep when one exists."""
-        if self._kernel() is not None:
-            return self._profile_sweep(need_eq=False, collect=False).opt_p
-        return self._reference_scan(need_eq=False).opt_p
+        return self._enumeration(need_eq=False).opt_p
 
     def optimal_profile(self) -> Tuple[StrategyProfile, float]:
         """An ``optP``-achieving profile (first minimizer) and its cost."""
@@ -423,14 +426,7 @@ class GameSession:
 
     def equilibrium_extreme_costs(self) -> Tuple[float, float]:
         """``(best-eqP, worst-eqP)`` over all pure Bayesian equilibria."""
-        if self._kernel() is not None:
-            sweep = self._profile_sweep(need_eq=True, collect=False)
-            if not sweep.eq_found:
-                raise RuntimeError(
-                    f"{self.game!r} has no pure Bayesian equilibrium"
-                )
-            return sweep.best_eq, sweep.worst_eq
-        scan = self._reference_scan(need_eq=True)
+        scan = self._enumeration(need_eq=True)
         if not scan.eq_found:
             raise RuntimeError(f"{self.game!r} has no pure Bayesian equilibrium")
         return scan.best_eq, scan.worst_eq
@@ -529,36 +525,17 @@ class GameSession:
     def _compute_report(self):
         from .measures import IgnoranceReport
 
-        lowered = self._kernel()
-        if lowered is not None:
-            sweep = self._profile_sweep(need_eq=True, collect=False)
-            if not sweep.eq_found:
-                raise RuntimeError(
-                    f"{self.game!r} has no pure Bayesian equilibrium"
-                )
-            if self.state_solver is not None:
-                opt_c_value = self.opt_c()
-            else:
-                opt_c_value = self._lowered_opt_c()
-            best_c, worst_c = self.eq_c()
-            report = IgnoranceReport(
-                opt_p=sweep.opt_p,
-                best_eq_p=sweep.best_eq,
-                worst_eq_p=sweep.worst_eq,
-                opt_c=opt_c_value,
-                best_eq_c=best_c,
-                worst_eq_c=worst_c,
-                name=self.game.name,
-            )
-            report.verify_observation_2_2()
-            return report
         best_p, worst_p = self.equilibrium_extreme_costs()
         best_c, worst_c = self.eq_c()
+        if self._kernel() is not None and self.state_solver is None:
+            opt_c_value = self._lowered_opt_c()
+        else:
+            opt_c_value = self.opt_c()
         report = IgnoranceReport(
             opt_p=self.opt_p(),
             best_eq_p=best_p,
             worst_eq_p=worst_p,
-            opt_c=self.opt_c(),
+            opt_c=opt_c_value,
             best_eq_c=best_c,
             worst_eq_c=worst_c,
             name=self.game.name,
@@ -671,10 +648,7 @@ class GameSession:
         if not need_sweep:
             return
         try:
-            if self._kernel() is not None:
-                self._profile_sweep(need_eq, collect)
-            else:
-                self._reference_scan(need_eq, collect)
+            self._enumeration(need_eq, collect)
         except Exception:
             pass  # memoized; re-raised by the queries that depend on it
 
@@ -787,7 +761,7 @@ class BatchSession:
     ) -> List[List[Any]]:
         """Answer one bundle for every game; one result row per game.
 
-        ``kernels="auto"`` (or ``"soa"``) dispatches bucketed
+        ``kernels="auto"`` dispatches bucketed
         structure-of-arrays kernels where games lower, falling back to
         the looped per-game path otherwise; ``"loop"`` forces the
         per-game path for everything (the benchmark baseline).  Values
@@ -799,10 +773,9 @@ class BatchSession:
         game's row cell instead, so one failing game cannot hide the
         other games' results (the service batch endpoint uses this).
         """
-        if kernels not in ("auto", "soa", "loop"):
+        if kernels not in ("auto", "loop"):
             raise ValueError(
-                f"unknown kernels mode {kernels!r}; "
-                "expected 'auto', 'soa', or 'loop'"
+                f"unknown kernels mode {kernels!r}; expected 'auto' or 'loop'"
             )
         if on_error not in ("raise", "capture"):
             raise ValueError(
@@ -934,8 +907,11 @@ class BatchSession:
         batch = tensor.BatchTensorGame(
             [session.lowered() for session in sessions]
         )
-        if need_sweep:
-            key = (need_eq or collect, collect)
+
+        def sweep(need_eq: bool, collect: bool) -> None:
+            """One batched sweep over the sessions whose memo does not
+            already serve ``(need_eq, collect)``, filled into their memos."""
+            key = (need_eq, collect)
             todo = [
                 position
                 for position, session in enumerate(sessions)
@@ -945,31 +921,18 @@ class BatchSession:
                 sweeps, errors = batch.sweep_profiles(
                     max_profiles,
                     collect_equilibria=collect,
-                    check_equilibria=key[0],
+                    check_equilibria=need_eq,
                     subset=todo,
                 )
-                for position, sweep, error in zip(todo, sweeps, errors):
-                    self._fill(sessions[position], "sweeps", key, sweep, error)
-            if key[0] and measures & {"opt_p", "optimal_profile"}:
+                for position, result, error in zip(todo, sweeps, errors):
+                    self._fill(sessions[position], "sweeps", key, result, error)
+
+        if need_sweep:
+            sweep(need_eq or collect, collect)
+            if (need_eq or collect) and measures & {"opt_p", "optimal_profile"}:
                 # The looped lattice: an equilibrium-check error does not
                 # poison sweep-only measures — they get a check-free sweep.
-                retry = [
-                    position
-                    for position, session in enumerate(sessions)
-                    if not session._sweep_cached(False, False)
-                ]
-                if retry:
-                    sweeps, errors = batch.sweep_profiles(
-                        max_profiles,
-                        collect_equilibria=False,
-                        check_equilibria=False,
-                        subset=retry,
-                    )
-                    for position, sweep, error in zip(retry, sweeps, errors):
-                        self._fill(
-                            sessions[position], "sweeps", (False, False),
-                            sweep, error,
-                        )
+                sweep(False, False)
         if measures & {"eq_c", "ignorance_report", "ratio"}:
             todo = [
                 position

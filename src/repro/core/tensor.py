@@ -64,7 +64,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,32 @@ def _tabulate(spaces: Sequence[Sequence[Action]], cost_of) -> np.ndarray:
     return costs
 
 
+def nash_masks(
+    costs: np.ndarray, shape: Tuple[int, ...]
+) -> Tuple[np.ndarray, List[Optional[BaseException]]]:
+    """Flat C-order pure-Nash masks ``(G, N)`` and per-lane errors of
+    the ``(G, k, N)`` cost stack of ``G`` states of one ``shape``.
+
+    A lane errors exactly where the reference scan raises: it checks
+    agents in order and selects best responses only among finite-cost
+    candidates, so a profile whose deviation row is all ``+inf`` raises
+    — unless an earlier agent already improved there.
+    """
+    group, k = costs.shape[:2]
+    cube = costs.reshape((group, k) + shape)
+    mask = np.ones((group,) + shape, dtype=bool)
+    errors: List[Optional[BaseException]] = [None] * group
+    for agent in range(k):
+        costs_i = cube[:, agent]
+        best = costs_i.min(axis=1 + agent, keepdims=True)
+        bad = np.logical_and(mask, ~(best < np.inf)).reshape(group, -1).any(axis=1)
+        for g in bad.nonzero()[0]:
+            if errors[g] is None:
+                errors[g] = RuntimeError("agent has no actions")
+        mask &= ~lt_array(best, costs_i)
+    return mask.reshape(group, -1), errors
+
+
 class StateTensor:
     """One complete-information game in dense index-encoded form.
 
@@ -296,23 +322,12 @@ class StateTensor:
         return None
 
     def nash_mask(self) -> np.ndarray:
-        """Boolean mask (flat, C-order) of pure Nash equilibria.
-
-        Mirrors the reference scan exactly, including its error path: the
-        reference checks agents in order and selects best responses only
-        among candidates of finite cost, so a profile whose deviation row
-        is all ``+inf`` raises — unless an earlier agent already had a
-        strict improvement there (the per-profile check early-returns).
-        """
-        cube = self.costs.reshape((self.num_agents,) + self.shape)
-        mask = np.ones(self.shape, dtype=bool)
-        for agent in range(self.num_agents):
-            costs_i = cube[agent]
-            best = costs_i.min(axis=agent, keepdims=True)
-            if np.logical_and(mask, ~(best < np.inf)).any():
-                raise RuntimeError("agent has no actions")
-            mask &= ~lt_array(best, costs_i)
-        return mask.reshape(-1)
+        """Boolean mask (flat, C-order) of pure Nash equilibria: the
+        one-lane case of :func:`nash_masks`, raising its error."""
+        masks, errors = nash_masks(self.costs[None], self.shape)
+        if errors[0] is not None:
+            raise errors[0]
+        return masks[0]
 
     def nash_equilibria(self) -> List[ActionProfile]:
         return [self.decode(int(flat)) for flat in np.nonzero(self.nash_mask())[0]]
@@ -582,16 +597,12 @@ class TensorGame:
         self.profile_strides = _c_strides(
             [agent.exact_count for agent in agents]
         )
-        # Digit-extraction metadata: agent i's action position in state s
-        # is her strategy digit at the state type's position.
-        self._digit_stride: List[List[int]] = []
-        self._digit_radix: List[List[int]] = []
+        # Agent i's action position in state s is its strategy digit at
+        # the state type's position.
         self._state_pos: List[List[int]] = []
         self._used_positions: List[List[int]] = []
         for i in range(game.num_agents):
             pos = [game.type_position(i, profile[i]) for profile in states]
-            self._digit_stride.append([agents[i].strides[p] for p in pos])
-            self._digit_radix.append([agents[i].radix[p] for p in pos])
             self._state_pos.append(pos)
             self._used_positions.append(sorted(set(pos)))
         # Interim structure: per (agent, positive type): the conditional
@@ -615,6 +626,9 @@ class TensorGame:
                     )
                 )
             self._cond.append(rows)
+        # The same weights as one-lane ``(1, m)`` views, the form the lane
+        # kernels (sweep, equilibrium tables) read.
+        self._lane_weights = [[row[2][None] for row in rows] for rows in self._cond]
         # Positive types in reference sweep order, keyed for the interim
         # entry points; the expected-cost tables are built lazily.
         self._cond_types: List[List] = [
@@ -652,13 +666,15 @@ class TensorGame:
             for agent, stride in zip(self.agents, self.profile_strides)
         )
 
-    def _block_size(self) -> int:
+    def _block_size(self, group: int = 1) -> int:
+        """Profiles per sweep block, keeping ``group``-lane temporaries
+        under :data:`BLOCK_CELLS`."""
         widest = max(
             [1]
             + [row[3] for rows in self._cond for row in rows]
             + [len(self.states)]
         )
-        return max(1, min(1 << 16, BLOCK_CELLS // widest))
+        return max(1, min(1 << 16, BLOCK_CELLS // max(1, widest * group)))
 
     def _equilibrium_tables(self) -> Optional[List[List[Optional[_RowTable]]]]:
         """This game's :func:`equilibrium_tables` (one lane), built on
@@ -675,7 +691,7 @@ class TensorGame:
             self._eq_tables = equilibrium_tables(
                 self,
                 [block.costs[None] for block in self.store],
-                [[row[2][None] for row in rows] for rows in self._cond],
+                self._lane_weights,
             )
         return self._eq_tables
 
@@ -761,7 +777,51 @@ class TensorGame:
         deviation, so a flagged profile is an equilibrium of the whole
         game, not merely of the slice.  This is the targeted-query
         primitive for games too big to sweep whole.
+
+        The one-lane case of :meth:`_sweep_lanes`, over zero-copy views.
         """
+
+        def block(s: int) -> Tuple[np.ndarray, np.ndarray]:
+            state = self.state_block(s)
+            return state.costs[None], state.social[None]
+
+        sweeps, errors = self._sweep_lanes(
+            self.probs[None],
+            block,
+            self._lane_weights,
+            self._equilibrium_tables,
+            max_profiles,
+            collect_equilibria,
+            check_equilibria,
+            restrict,
+        )
+        if errors[0] is not None:
+            raise errors[0]
+        return sweeps[0]
+
+    def _sweep_lanes(
+        self,
+        probs: np.ndarray,
+        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+        cond_weights: Sequence[Sequence[np.ndarray]],
+        tables: Callable[[], Optional[List[List[Optional[_RowTable]]]]],
+        max_profiles: int,
+        collect_equilibria: bool,
+        check_equilibria: bool,
+        restrict=None,
+    ) -> Tuple[List[Optional[ProfileSweep]], List[Optional[BaseException]]]:
+        """The blocked profile sweep over ``G`` lanes that share this
+        lowering's structure (``G = 1`` for a single game).
+
+        ``probs`` is ``(G, S)``; ``blocks(s)`` returns state ``s``'s
+        ``(G, k, N_s)`` costs and ``(G, N_s)`` social costs;
+        ``cond_weights[i][r]`` is the ``(G, m)`` weights of agent ``i``'s
+        row ``r``.  ``tables()`` runs once, after the guard and only when
+        the check does; a ``None`` table sends its row to the gather.
+        Returns ``(sweeps, errors)`` with exactly one ``None`` per lane;
+        the sweep stops once every lane has errored.
+        """
+        group = probs.shape[0]
         axes = self._restricted_axes(restrict)
         if axes is None:
             radix = [agent.radix for agent in self.agents]
@@ -769,13 +829,16 @@ class TensorGame:
             radix = [tuple(len(row) for row in rows) for rows in axes]
         total_f = product_size(product_size(r) for r in radix)
         if total_f > max_profiles:
-            raise ExplosionError("strategy profiles", total_f, max_profiles)
+            return [None] * group, [
+                ExplosionError("strategy profiles", total_f, max_profiles)
+                for _ in range(group)
+            ]
         total = int(total_f)
         k = self.num_agents
         strides = [_c_strides(r) for r in radix]
         counts = [math.prod(r) for r in radix]
         pstrides = _c_strides(counts)
-        block = self._block_size()
+        block = self._block_size(group)
 
         def digit(strategy, i: int, p: int):
             """Agent ``i``'s full-space digit at type position ``p``."""
@@ -783,103 +846,124 @@ class TensorGame:
             return d if axes is None else axes[i][p][d]
 
         def full_index(index: int) -> int:
-            """The full-space flat index of slice profile ``index``."""
-            if axes is None:
+            """The full-space flat index of slice profile ``index``, in
+            Python ints: a restricted slice's full space may pass int64."""
+            if axes is None or index < 0:
                 return index
             flat = 0
             for i, agent in enumerate(self.agents):
                 strategy = (index // pstrides[i]) % counts[i]
                 for p, stride in enumerate(agent.strides):
-                    flat += (
-                        self.profile_strides[i] * stride * int(digit(strategy, i, p))
-                    )
+                    d = axes[i][p][(strategy // strides[i][p]) % radix[i][p]]
+                    flat += self.profile_strides[i] * stride * int(d)
             return flat
 
-        opt = float("inf")
-        argmin = -1
-        best_eq = float("inf")
-        worst_eq = float("-inf")
-        eq_found = False
-        eq_indices: Optional[List[int]] = [] if collect_equilibria else None
-        tables = self._equilibrium_tables() if check_equilibria else None
+        opt = np.full(group, np.inf)
+        argmin = np.full(group, -1, dtype=np.int64)
+        best_eq = np.full(group, np.inf)
+        worst_eq = np.full(group, -np.inf)
+        eq_found = np.zeros(group, dtype=bool)
+        eq_lists: Optional[List[List[int]]] = (
+            [[] for _ in range(group)] if collect_equilibria else None
+        )
+        alive = np.ones(group, dtype=bool)
+        errors: List[Optional[BaseException]] = [None] * group
+        row_tables = tables() if check_equilibria else None
 
         for lo in range(0, total, block):
             hi = min(total, lo + block)
             flat = np.arange(lo, hi, dtype=np.int64)
             strat = [(flat // pstrides[i]) % counts[i] for i in range(k)]
 
-            # Per-state flat action indices and the ex-ante social cost,
-            # accumulated in prior-support order (the reference fold).
+            # Shared per-state flat indices (structure), per-lane social
+            # costs (data), folded in prior-support order (the reference
+            # fold).
             state_flat: List[np.ndarray] = []
-            social = np.zeros(hi - lo, dtype=float)
-            for s in range(len(self.states)):
-                state = self.state_block(s)
+            social = np.zeros((group, hi - lo), dtype=float)
+            for s, state_strides in enumerate(self.state_strides):
                 index = np.zeros(hi - lo, dtype=np.int64)
                 for i in range(k):
-                    index += state.strides[i] * digit(
+                    index += state_strides[i] * digit(
                         strat[i], i, self._state_pos[i][s]
                     )
                 state_flat.append(index)
-                social += self.probs[s] * state.social[index]
+                social += probs[:, s, None] * blocks(s)[1].take(index, axis=1)
 
-            block_min = float(social.min())
-            if block_min < opt:
-                opt = block_min
-                argmin = full_index(lo + int(social.argmin()))
+            block_min = social.min(axis=1)
+            improved = block_min < opt
+            if improved.any():
+                argmin = np.where(improved, lo + social.argmin(axis=1), argmin)
+                opt = np.where(improved, block_min, opt)
             if not check_equilibria:
                 continue
 
-            ok = np.ones(hi - lo, dtype=bool)
+            ok = np.ones((group, hi - lo), dtype=bool)
             for i in range(k):
-                for r, (tpos, cond_states, weights, n_dev) in enumerate(
-                    self._cond[i]
-                ):
-                    table = None if tables is None else tables[i][r]
+                for r, (tpos, cond_states, _w, n_dev) in enumerate(self._cond[i]):
+                    table = None if row_tables is None else row_tables[i][r]
                     if table is not None:
                         cells = table.cells(state_flat)
-                        good = table.good[0][cells]
-                        bad = None if table.bad is None else table.bad[0][cells]
+                        good = table.good.take(cells, axis=1)
+                        bad = None if table.bad is None else table.bad.take(cells, axis=1)
                     else:
                         # No table (LRU store, or a joint row over the
-                        # table guard): gather the (block x n_dev)
+                        # table guard): gather the (G x block x n_dev)
                         # interim matrix directly.
                         own = digit(strat[i], i, tpos)
                         deviations = np.arange(n_dev, dtype=np.int64)
-                        interim = np.zeros((hi - lo, n_dev), dtype=float)
-                        for s, q in zip(cond_states, weights):
-                            state = self.state_block(s)
-                            others = state_flat[s] - state.strides[i] * own
-                            interim += q * state.costs[i][
-                                others[:, None]
-                                + state.strides[i] * deviations[None, :]
-                            ]
-                        current = interim[np.arange(hi - lo), own]
-                        best = interim.min(axis=1)
+                        interim = np.zeros((group, hi - lo, n_dev), dtype=float)
+                        for position, s in enumerate(cond_states):
+                            stride = self.state_strides[s][i]
+                            others = state_flat[s] - stride * own
+                            interim += cond_weights[i][r][:, position, None, None] * (
+                                blocks(s)[0][:, i].take(
+                                    others[:, None] + stride * deviations[None, :],
+                                    axis=1,
+                                )
+                            )
+                        current = interim[:, np.arange(hi - lo), own]
+                        best = interim.min(axis=2)
                         good = ~lt_array(best, current)
                         bad = ~(best < np.inf)
                     # Reference error path: a type whose whole interim row
                     # is +inf has no selectable best response — it raises,
                     # unless an earlier (agent, type) already improved.
                     if bad is not None and np.logical_and(ok, bad).any():
-                        raise RuntimeError("agent has no feasible actions")
+                        newly = np.logical_and(ok, bad).any(axis=1) & alive
+                        for g in np.flatnonzero(newly):
+                            errors[g] = RuntimeError("agent has no feasible actions")
+                        alive &= ~newly
+                        if not alive.any():
+                            return [None] * group, errors
                     ok &= good
 
-            if ok.any():
-                eq_found = True
-                values = social[ok]
-                best_eq = min(best_eq, float(values.min()))
-                worst_eq = max(worst_eq, float(values.max()))
-                if eq_indices is not None:
-                    eq_indices.extend(full_index(int(f)) for f in flat[ok])
+            has = ok.any(axis=1)
+            if has.any():
+                eq_found |= has
+                best_eq = np.minimum(best_eq, np.where(ok, social, np.inf).min(axis=1))
+                worst_eq = np.maximum(
+                    worst_eq, np.where(ok, social, -np.inf).max(axis=1)
+                )
+                if eq_lists is not None:
+                    lanes, columns = np.nonzero(ok & alive[:, None])
+                    for g, column in zip(lanes.tolist(), columns.tolist()):
+                        eq_lists[g].append(full_index(lo + column))
 
-        return ProfileSweep(
-            opt_p=opt,
-            argmin_index=argmin,
-            best_eq=best_eq,
-            worst_eq=worst_eq,
-            eq_found=eq_found,
-            eq_indices=eq_indices,
+        folds = zip(
+            opt.tolist(),
+            [full_index(index) for index in argmin.tolist()],
+            best_eq.tolist(),
+            worst_eq.tolist(),
+            eq_found.tolist(),
         )
+        return [
+            None
+            if error is not None
+            else ProfileSweep(
+                *fold, eq_indices=None if eq_lists is None else eq_lists[g]
+            )
+            for g, (error, fold) in enumerate(zip(errors, folds))
+        ], errors
 
     # ------------------------------------------------------------------
     # measure kernels
@@ -1166,14 +1250,15 @@ def batch_signature(lowered: TensorGame) -> Tuple:
 class BatchTensorGame:
     """A bucket of same-signature lowered games stacked game-major.
 
-    Every kernel below is the per-game :class:`TensorGame` kernel with
-    one extra leading axis, and every per-game lane is **bit-identical**
-    to running that game alone: the per-lane arithmetic is the same
-    IEEE expression tree (elementwise ops touch one lane each), running
-    ``min``/``argmin`` folds are exact and partition-independent, the
-    first-occurrence ``argmin`` tie-break is preserved, and all error
-    *conditions* are per-profile properties, so block boundaries (which
-    differ from the per-game block size) cannot move them.
+    The profile sweep and the pure-Nash fold are the kernels a single
+    game runs (:meth:`TensorGame._sweep_lanes`, :func:`nash_masks`) with
+    one lane per game; a single game is their one-lane case.  The other
+    kernels (``opt_c``, the state optima, the lockstep dynamics) add a
+    leading game axis to the per-game arithmetic.  Lanes never mix:
+    elementwise ops touch one lane each, running ``min``/``argmin``
+    folds are exact and keep the first occurrence, and every error
+    *condition* is a per-profile property of one lane, so no lane's
+    result depends on the other lanes or on the block size.
 
     Error semantics: kernels never raise for a single game's failure.
     Each returns per-game result lists alongside a per-game ``errors``
@@ -1243,16 +1328,6 @@ class BatchTensorGame:
             [[weights[idx] for weights in rows] for rows in self.cond_weights],
         )
 
-    def _batch_block(self, group: int) -> int:
-        """Block size keeping ``group``-game temporaries under the cap."""
-        template = self.template
-        widest = max(
-            [1]
-            + [row[3] for rows in template._cond for row in rows]
-            + [len(template.states)]
-        )
-        return max(1, min(1 << 16, BLOCK_CELLS // max(1, widest * group)))
-
     # ------------------------------------------------------------------
     # the batched blocked profile sweep
     # ------------------------------------------------------------------
@@ -1263,151 +1338,19 @@ class BatchTensorGame:
         check_equilibria: bool = True,
         subset: Optional[Sequence[int]] = None,
     ) -> Tuple[List[Optional[ProfileSweep]], List[Optional[BaseException]]]:
-        """:meth:`TensorGame.sweep_profiles` over the whole bucket.
-
-        Returns ``(sweeps, errors)`` aligned with ``subset`` (the whole
-        bucket by default); exactly one of ``sweeps[g]`` / ``errors[g]``
-        is ``None`` per game.
-        """
-        games, probs, state_costs, state_social, cond_weights = self._take(subset)
-        group = len(games)
-        template = self.template
-        total_f = template.profile_count()
-        if total_f > max_profiles:
-            # The guard depends only on shared structure: all-or-none.
-            return (
-                [None] * group,
-                [
-                    ExplosionError("strategy profiles", total_f, max_profiles)
-                    for _ in range(group)
-                ],
-            )
-        total = int(total_f)
-        k = template.num_agents
-        pstrides = template.profile_strides
-        counts = [agent.exact_count for agent in template.agents]
-        block = self._batch_block(group)
-
-        opt = np.full(group, np.inf)
-        argmin = np.full(group, -1, dtype=np.int64)
-        best_eq = np.full(group, np.inf)
-        worst_eq = np.full(group, -np.inf)
-        eq_found = np.zeros(group, dtype=bool)
-        eq_lists: Optional[List[List[int]]] = (
-            [[] for _ in range(group)] if collect_equilibria else None
+        """:meth:`TensorGame.sweep_profiles` over the bucket, one lane
+        per game of ``subset`` (default: all); returns ``(sweeps,
+        errors)`` with exactly one ``None`` per game."""
+        _games, probs, state_costs, state_social, cond_weights = self._take(subset)
+        return self.template._sweep_lanes(
+            probs,
+            lambda s: (state_costs[s], state_social[s]),
+            cond_weights,
+            lambda: equilibrium_tables(self.template, state_costs, cond_weights),
+            max_profiles,
+            collect_equilibria,
+            check_equilibria,
         )
-        alive = np.ones(group, dtype=bool)
-        errors: List[Optional[BaseException]] = [None] * group
-        tables = (
-            equilibrium_tables(template, state_costs, cond_weights)
-            if check_equilibria
-            else None
-        )
-
-        for lo in range(0, total, block):
-            hi = min(total, lo + block)
-            flat = np.arange(lo, hi, dtype=np.int64)
-            strat = [(flat // pstrides[i]) % counts[i] for i in range(k)]
-
-            # Shared per-state flat indices (structure), per-game social
-            # costs (data), folded in prior-support order per lane.
-            state_flat: List[np.ndarray] = []
-            social = np.zeros((group, hi - lo), dtype=float)
-            for s, state_strides in enumerate(template.state_strides):
-                index = np.zeros(hi - lo, dtype=np.int64)
-                for i in range(k):
-                    digit = (
-                        strat[i] // template._digit_stride[i][s]
-                    ) % template._digit_radix[i][s]
-                    index += state_strides[i] * digit
-                state_flat.append(index)
-                social += probs[:, s, None] * state_social[s][:, index]
-
-            block_min = social.min(axis=1)
-            improved = block_min < opt
-            if improved.any():
-                positions = social.argmin(axis=1)
-                argmin = np.where(improved, lo + positions, argmin)
-                opt = np.where(improved, block_min, opt)
-            if tables is None:
-                continue
-
-            ok = np.ones((group, hi - lo), dtype=bool)
-            for i in range(k):
-                agent = template.agents[i]
-                for (tpos, cond_states, _w, n_dev), weights, table in zip(
-                    template._cond[i], cond_weights[i], tables[i]
-                ):
-                    if table is not None:
-                        cells = table.cells(state_flat)
-                        good = table.good[:, cells]
-                        bad = None if table.bad is None else table.bad[:, cells]
-                    else:
-                        own = (strat[i] // agent.strides[tpos]) % agent.radix[tpos]
-                        deviations = np.arange(n_dev, dtype=np.int64)
-                        interim = np.zeros((group, hi - lo, n_dev), dtype=float)
-                        for position, s in enumerate(cond_states):
-                            stride = template.state_strides[s][i]
-                            others = state_flat[s] - stride * own
-                            cells = others[:, None] + stride * deviations[None, :]
-                            interim += (
-                                weights[:, position, None, None]
-                                * state_costs[s][:, i, :][:, cells]
-                            )
-                        current = interim[:, np.arange(hi - lo), own]
-                        best = interim.min(axis=2)
-                        good = ~lt_array(best, current)
-                        bad = ~(best < np.inf)
-                    # Per-game error lanes: record the reference error the
-                    # first time it would fire, then keep sweeping — the
-                    # other games' lanes are still live.
-                    if bad is not None:
-                        newly = np.logical_and(ok, bad).any(axis=1) & alive
-                        if newly.any():
-                            for g in np.nonzero(newly)[0]:
-                                errors[g] = RuntimeError(
-                                    "agent has no feasible actions"
-                                )
-                            alive &= ~newly
-                    ok &= good
-
-            has = ok.any(axis=1)
-            eq_found |= has
-            best_eq = np.where(
-                has,
-                np.minimum(best_eq, np.where(ok, social, np.inf).min(axis=1)),
-                best_eq,
-            )
-            worst_eq = np.where(
-                has,
-                np.maximum(worst_eq, np.where(ok, social, -np.inf).max(axis=1)),
-                worst_eq,
-            )
-            if eq_lists is not None:
-                hit_games, hit_columns = np.nonzero(
-                    np.logical_and(ok, alive[:, None])
-                )
-                for g, column in zip(hit_games.tolist(), hit_columns.tolist()):
-                    eq_lists[g].append(lo + column)
-            if check_equilibria and not alive.any():
-                break
-
-        sweeps: List[Optional[ProfileSweep]] = []
-        for g in range(group):
-            if errors[g] is not None:
-                sweeps.append(None)
-                continue
-            sweeps.append(
-                ProfileSweep(
-                    opt_p=float(opt[g]),
-                    argmin_index=int(argmin[g]),
-                    best_eq=float(best_eq[g]),
-                    worst_eq=float(worst_eq[g]),
-                    eq_found=bool(eq_found[g]),
-                    eq_indices=None if eq_lists is None else eq_lists[g],
-                )
-            )
-        return sweeps, errors
 
     # ------------------------------------------------------------------
     # batched measure kernels
@@ -1434,29 +1377,16 @@ class BatchTensorGame:
         games, probs, state_costs, state_social, _w = self._take(subset)
         group = len(games)
         template = self.template
-        k = template.num_agents
         best_total = np.zeros(group)
         worst_total = np.zeros(group)
         alive = np.ones(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
         for s, shape in enumerate(template.state_shapes):
-            cube = state_costs[s].reshape((group, k) + shape)
-            mask = np.ones((group,) + shape, dtype=bool)
-            for agent in range(k):
-                costs_i = cube[:, agent]
-                best = costs_i.min(axis=1 + agent, keepdims=True)
-                bad = (
-                    np.logical_and(mask, ~(best < np.inf))
-                    .reshape(group, -1)
-                    .any(axis=1)
-                )
-                newly = bad & alive
-                if newly.any():
-                    for g in np.nonzero(newly)[0]:
-                        errors[g] = RuntimeError("agent has no actions")
-                    alive &= ~newly
-                mask &= ~lt_array(best, costs_i)
-            flat_mask = mask.reshape(group, -1)
+            flat_mask, state_errors = nash_masks(state_costs[s], shape)
+            for g, error in enumerate(state_errors):
+                if error is not None and alive[g]:
+                    errors[g] = error
+                    alive[g] = False
             has = flat_mask.any(axis=1)
             none = ~has & alive
             if none.any():

@@ -1,7 +1,7 @@
 """``BatchSession.evaluate_many``: SoA dispatch vs the looped path.
 
 The contract under test: rows come back in input order, every value and
-every raised/captured error identical between ``kernels="soa"`` and
+every raised/captured error identical between ``kernels="auto"`` and
 ``kernels="loop"``, buckets group by lowering signature, non-lowerable
 sessions fall back per game, and ``from_sessions`` refuses mixed
 engines instead of silently racing them.
@@ -70,7 +70,7 @@ class TestFromSessions:
 class TestEvaluateMany:
     def test_soa_rows_match_looped_rows_including_errors(self):
         soa = BatchSession.from_sessions(_population(16)).evaluate_many(
-            BUNDLE, kernels="soa", on_error="capture"
+            BUNDLE, kernels="auto", on_error="capture"
         )
         looped = BatchSession.from_sessions(_population(16)).evaluate_many(
             BUNDLE, kernels="loop", on_error="capture"
@@ -80,14 +80,14 @@ class TestEvaluateMany:
             isinstance(cell, Exception) for row in soa for cell in row
         ), "corpus must include failing members for this test"
 
-    def test_auto_equals_soa(self):
-        auto = BatchSession.from_sessions(_population(6)).evaluate_many(
+    def test_default_kernels_are_auto(self):
+        default = BatchSession.from_sessions(_population(6)).evaluate_many(
             BUNDLE, on_error="capture"
         )
-        soa = BatchSession.from_sessions(_population(6)).evaluate_many(
-            BUNDLE, kernels="soa", on_error="capture"
+        auto = BatchSession.from_sessions(_population(6)).evaluate_many(
+            BUNDLE, kernels="auto", on_error="capture"
         )
-        assert _fold(auto) == _fold(soa)
+        assert _fold(default) == _fold(auto)
 
     def test_raise_mode_propagates_the_first_failing_cell(self):
         batch = BatchSession.from_sessions(_population(16))
@@ -116,7 +116,7 @@ class TestEvaluateMany:
     def test_reference_engine_falls_back_per_game(self):
         soa = BatchSession.from_sessions(
             _population(6, engine="reference")
-        ).evaluate_many(BUNDLE, kernels="soa", on_error="capture")
+        ).evaluate_many(BUNDLE, kernels="auto", on_error="capture")
         looped = BatchSession.from_sessions(
             _population(6, engine="reference")
         ).evaluate_many(BUNDLE, kernels="loop", on_error="capture")
@@ -126,6 +126,8 @@ class TestEvaluateMany:
         batch = BatchSession.from_sessions(_population(1))
         with pytest.raises(ValueError, match="kernels"):
             batch.evaluate_many(["opt_p"], kernels="simd")
+        with pytest.raises(ValueError, match="kernels"):
+            batch.evaluate_many(["opt_p"], kernels="soa")
         with pytest.raises(ValueError, match="on_error"):
             batch.evaluate_many(["opt_p"], on_error="ignore")
 

@@ -3,7 +3,10 @@
 Every :class:`BatchTensorGame` kernel must reproduce the per-game
 :class:`TensorGame` kernel lane for lane — values bit-identical, errors
 (type *and* message) landing only in the failing game's slot while the
-rest of the bucket answers normally.  The populations come from
+rest of the bucket answers normally.  The profile sweep is one kernel
+for both (a single game is its one-lane case), so the sweep cases also
+check every lane against the reference engine (``opt_p``, the
+equilibrium extreme costs and the equilibrium list, errors included).  The populations come from
 ``repro.analysis.population``: one same-shape family per bucket, with
 the tiny family deliberately containing members that have no pure Nash
 equilibrium in some state (the per-game ``eq_c`` raise).
@@ -14,7 +17,13 @@ import pytest
 
 from repro._util import ExplosionError
 from repro.analysis.population import population_game
-from repro.core import tensor
+from repro.core import (
+    bayesian_equilibrium_extreme_costs,
+    engine_override,
+    enumerate_bayesian_equilibria,
+    opt_p,
+    tensor,
+)
 from repro.core.strategy import greedy_strategy_profile
 
 BIG = 10**9
@@ -42,6 +51,40 @@ def _same_error(batch_error, game_error):
         type(batch_error) is type(game_error)
         and str(batch_error) == str(game_error)
     )
+
+
+def _check_reference(name, member, tg, max_profiles, sweep, error, checked=True):
+    """One lane's sweep (or error) against the reference engine's
+    ``opt_p``, extreme costs and equilibria on a fresh build
+    (``checked=False``: a check-free sweep, so ``opt_p`` only)."""
+    game = population_game(name, member)
+    with engine_override("reference"):
+        opt, opt_error = _per_game(lambda: opt_p(game, max_profiles))
+        extremes, extremes_error = _per_game(
+            lambda: bayesian_equilibrium_extreme_costs(game, max_profiles)
+        )
+        equilibria, eq_error = _per_game(
+            lambda: enumerate_bayesian_equilibria(game, max_profiles)
+        )
+    if error is not None:
+        assert sweep is None
+        assert _same_error(error, eq_error)
+        assert _same_error(error, extremes_error)
+        if isinstance(error, ExplosionError):
+            assert _same_error(error, opt_error)
+        return
+    assert opt_error is None and sweep.opt_p == opt
+    if not checked:
+        return
+    assert eq_error is None
+    assert sweep.eq_found == bool(equilibria)
+    if sweep.eq_found:
+        assert (sweep.best_eq, sweep.worst_eq) == extremes
+    else:
+        assert isinstance(extremes_error, RuntimeError)
+        assert "no pure Bayesian equilibrium" in str(extremes_error)
+    if sweep.eq_indices is not None:
+        assert [tg.decode_profile(i) for i in sweep.eq_indices] == equilibria
 
 
 class TestBatchSignature:
@@ -76,7 +119,8 @@ class TestSweepParity:
         sweeps, errors = batch.sweep_profiles(
             BIG, collect_equilibria=collect
         )
-        for tg, sweep, error in zip(lowered, sweeps, errors):
+        for member, (tg, sweep, error) in enumerate(zip(lowered, sweeps, errors)):
+            _check_reference("tiny-2x2x2s2", member, tg, BIG, sweep, error)
             expected, expected_error = _per_game(
                 lambda: tg.sweep_profiles(BIG, collect_equilibria=collect)
             )
@@ -96,7 +140,10 @@ class TestSweepParity:
         batch = tensor.BatchTensorGame(lowered)
         sweeps, errors = batch.sweep_profiles(BIG, check_equilibria=False)
         assert errors == [None] * len(lowered)
-        for tg, sweep in zip(lowered, sweeps):
+        for member, (tg, sweep) in enumerate(zip(lowered, sweeps)):
+            _check_reference(
+                "bench-3x2x2s4", member, tg, BIG, sweep, None, checked=False
+            )
             expected = tg.sweep_profiles(BIG, check_equilibria=False)
             assert sweep.opt_p == expected.opt_p
             assert sweep.argmin_index == expected.argmin_index
@@ -106,7 +153,8 @@ class TestSweepParity:
         batch = tensor.BatchTensorGame(lowered)
         sweeps, errors = batch.sweep_profiles(1)
         assert sweeps == [None] * 3
-        for tg, error in zip(lowered, errors):
+        for member, (tg, error) in enumerate(zip(lowered, errors)):
+            _check_reference("tiny-2x2x2s2", member, tg, 1, None, error)
             _, expected_error = _per_game(lambda: tg.sweep_profiles(1))
             assert isinstance(error, ExplosionError)
             assert _same_error(error, expected_error)
@@ -116,10 +164,14 @@ class TestSweepParity:
         batch = tensor.BatchTensorGame(lowered)
         full, _ = batch.sweep_profiles(BIG, collect_equilibria=True)
         subset = [5, 1, 6]
-        partial, _ = batch.sweep_profiles(
+        partial, partial_errors = batch.sweep_profiles(
             BIG, collect_equilibria=True, subset=subset
         )
         for position, g in enumerate(subset):
+            _check_reference(
+                "tiny-2x2x2s2", g, lowered[g], BIG, partial[position],
+                partial_errors[position],
+            )
             assert partial[position].opt_p == full[g].opt_p
             assert partial[position].eq_indices == full[g].eq_indices
 

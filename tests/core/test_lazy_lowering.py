@@ -64,6 +64,21 @@ def skew_game() -> BayesianGame:
     return BayesianGame(action_spaces, type_spaces, prior, cost, name="skew")
 
 
+def tie_rich_game() -> BayesianGame:
+    """Two agents with two types each over four states, integer-valued
+    (tie-rich) costs: every agent's rows condition on two states."""
+    rng = np.random.default_rng(0)
+    table = rng.integers(0, 3, size=(2, 2, 2, 3, 3)).astype(float)
+    prior = CommonPrior({(0, 0): 0.3, (0, 1): 0.2, (1, 0): 0.4, (1, 1): 0.1})
+
+    def cost(agent, profile, actions):
+        return float(table[(agent,) + tuple(profile) + tuple(actions)])
+
+    return BayesianGame(
+        [[0, 1, 2], [0, 1, 2]], [[0, 1], [0, 1]], prior, cost, name="ties"
+    )
+
+
 def _block(num_actions: int) -> StateTensor:
     """A 1-agent StateTensor with ``num_actions`` cells."""
     return StateTensor([list(range(num_actions))], np.zeros((1, num_actions)))
@@ -388,6 +403,36 @@ class _RestrictedSweepCases:
         err = excinfo.value
         assert (err.what, err.size, err.limit) == ("strategy profiles", 2, 1)
 
+    def test_slice_indices_stay_exact_past_int64(self):
+        """A slice of a space with more than 2**63 profiles still reports
+        exact full-space indices (Python ints, not int64)."""
+        types = list(range(64))
+
+        def cost(agent, profile, actions):
+            return float(actions[agent] != profile[0] % 2) + 0.5 * abs(
+                actions[0] - actions[1]
+            )
+
+        game = BayesianGame(
+            [[0, 1], [0, 1]],
+            [types, [0]],
+            CommonPrior({(t, 0): 1 / 64 for t in types}),
+            cost,
+            name="wide",
+        )
+        lowered = self.lower(game)
+        assert lowered.profile_count() > 2**63
+        restrict = [[[t % 2] for t in types[:-1]] + [None], None]
+        sweep = lowered.sweep_profiles(10, collect_equilibria=True, restrict=restrict)
+        box = self._brute_force(game, lowered, restrict)
+        costs = {profile: game.social_cost(profile) for profile in box}
+        assert lowered.decode_profile(sweep.argmin_index) in box
+        assert costs[lowered.decode_profile(sweep.argmin_index)] == sweep.opt_p
+        assert sweep.opt_p == min(costs.values())
+        expected = [p for p in box if is_bayesian_equilibrium(game, p)]
+        assert expected
+        assert [lowered.decode_profile(i) for i in sweep.eq_indices] == expected
+
     @pytest.mark.parametrize(
         "restrict, message",
         [
@@ -414,16 +459,7 @@ class TestRestrictedSweep(_RestrictedSweepCases):
         pinned store checks equilibria through its best-response tables,
         the LRU store through the gather, and the two sweeps of every
         slice must be equal field for field."""
-        rng = np.random.default_rng(0)
-        table = rng.integers(0, 3, size=(2, 2, 2, 3, 3)).astype(float)
-        prior = CommonPrior({(0, 0): 0.3, (0, 1): 0.2, (1, 0): 0.4, (1, 1): 0.1})
-
-        def cost(agent, profile, actions):
-            return float(table[(agent,) + tuple(profile) + tuple(actions)])
-
-        game = BayesianGame(
-            [[0, 1, 2], [0, 1, 2]], [[0, 1], [0, 1]], prior, cost, name="ties"
-        )
+        game = tie_rich_game()
         pinned = lower_game(game)
         lru = lower_game_lazy(game, cache_cells=9)
         tables = pinned._equilibrium_tables()
@@ -450,6 +486,28 @@ class TestRestrictedSweep(_RestrictedSweepCases):
                 10_000, collect_equilibria=True, restrict=restrict
             ) == expected
         assert lru.cache_stats()["evictions"] > 0
+
+    def test_sweep_block_reads_are_pinned(self, monkeypatch):
+        """Block-read accounting of LRU sweeps: the social pass reads
+        every state once per profile block, the gather every conditional
+        state once per row.  The counts are the per-game sweep's own,
+        measured before it shared its kernel with the batch engine; six
+        16-profile blocks and a three-block budget make them sensitive to
+        both read sites."""
+        monkeypatch.setattr(tensor, "BLOCK_CELLS", 64)
+        lru = lower_game_lazy(tie_rich_game(), cache_cells=54)
+        assert lru._block_size() == 16
+
+        def counters():
+            stats = lru.cache_stats()
+            return stats["hits"], stats["misses"], stats["evictions"]
+
+        lru.sweep_profiles(10_000, collect_equilibria=True)
+        assert counters() == (11, 61, 58)
+        lru.sweep_profiles(
+            10_000, collect_equilibria=True, restrict=[[[1, 2], [0, 2]], [[1, 2], [1]]]
+        )
+        assert counters() == (13, 71, 68)
 
 
 class TestRestrictedSweepPinned(_RestrictedSweepCases):

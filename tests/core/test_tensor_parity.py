@@ -30,7 +30,14 @@ from repro.core import (
     opt_p,
     state_optimum,
 )
-from repro.core.tensor import StateTensor, lt_array, maybe_state_tensor
+from repro.analysis.population import population_game
+from repro.core.tensor import (
+    BatchTensorGame,
+    StateTensor,
+    TensorGame,
+    lt_array,
+    maybe_state_tensor,
+)
 from repro.core.strategy import DEFAULT_MAX_PROFILES
 from repro._util import ExplosionError
 
@@ -265,13 +272,25 @@ class TestGuards:
         assert lower_game(matching_state_game(), max_action_profiles=1) is None
 
     def test_blocked_sweep_matches_unblocked(self, monkeypatch):
-        """Forcing tiny blocks must not change any aggregate."""
+        """Forcing tiny blocks must not change any aggregate, for one
+        game or a three-lane batch (both run the one sweep kernel)."""
         game = informed_coordination_game()
         lowered = lower_game(game)
         assert lowered is not None
-        full = lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True)
-        monkeypatch.setattr(lowered, "_block_size", lambda: 1)
-        blocked = lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True)
+        batch = BatchTensorGame(
+            [maybe_lower(population_game("bench-3x2x2s4", m)) for m in range(3)]
+        )
+
+        def sweeps():
+            return (
+                lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True),
+                batch.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True),
+            )
+
+        full = sweeps()
+        assert full[1][1] == [None] * 3
+        monkeypatch.setattr(TensorGame, "_block_size", lambda self, group=1: 1)
+        blocked = sweeps()
         assert blocked == full
 
 

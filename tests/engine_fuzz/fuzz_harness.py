@@ -26,7 +26,7 @@ exact agreement — values and exceptions alike.
 :func:`check_batch_specs` is the batch-engine analogue: a whole batch of
 fuzzed games evaluated through ``BatchSession.evaluate_many`` — once
 with ``kernels="loop"`` (the per-game path) and once with
-``kernels="soa"`` (the structure-of-arrays kernels) — against the
+``kernels="auto"`` (the structure-of-arrays kernels) — against the
 free-function baseline, per game, under both engines.  Values *and*
 captured exceptions must be identical in all three columns; a mismatch
 shrinks the offending game as a singleton batch.
@@ -353,7 +353,7 @@ class BatchMismatch:
             lines.append(f"  {key}:")
             lines.append(f"    free functions: {free!r}")
             lines.append(f"    kernels='loop': {looped!r}")
-            lines.append(f"    kernels='soa':  {soa!r}")
+            lines.append(f"    kernels='auto': {soa!r}")
         return "\n".join(lines)
 
 
@@ -371,7 +371,7 @@ def check_batch_specs(
         with engine_override(engine):
             free = [run_free_bundle(spec.build()) for spec in specs]
         looped = _batch_rows(specs, engine, "loop")
-        soa = _batch_rows(specs, engine, "soa")
+        soa = _batch_rows(specs, engine, "auto")
         for index, spec in enumerate(specs):
             disagreements = [
                 (key, f, l, s)

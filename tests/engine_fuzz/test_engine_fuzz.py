@@ -37,7 +37,7 @@ N_SESSION_GAMES = 120
 SESSION_FAST_CHUNKS = 1
 
 #: Seeded games the batch engine replays: free functions vs
-#: ``kernels="loop"`` vs ``kernels="soa"``, per game, both engines.
+#: ``kernels="loop"`` vs ``kernels="auto"``, per game, both engines.
 N_BATCH_GAMES = 120
 BATCH_FAST_CHUNKS = 1
 
