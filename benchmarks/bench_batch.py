@@ -30,7 +30,7 @@ import pathlib
 import sys
 import time
 
-from repro.analysis.population import population_game
+from repro.analysis.census import population_game
 from repro.core.session import BatchSession, GameSession, query
 from repro.runtime.artifacts import ArtifactStore
 
@@ -40,7 +40,7 @@ TARGET_SPEEDUP = 5.0
 #: Population size (the gate demands a four-digit batch).
 N_GAMES = 1000
 
-#: The same-shape family (see ``repro.analysis.population.FAMILIES``).
+#: The same-shape family (see ``repro.analysis.census.FAMILIES``).
 FAMILY = "bench-3x2x2s4"
 
 #: Timing repetitions; best-of-N (min) filters scheduler noise.  The

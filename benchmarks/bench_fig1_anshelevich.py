@@ -5,14 +5,15 @@ locally-informed selfish agents beats *every* equilibrium of globally
 informed ones, asymptotically — "ignorance is bliss".
 """
 
-from repro.analysis.experiments import fig1_anshelevich
+from repro.analysis.experiments import SWEEPS
 from repro.constructions import build_anshelevich_game
 from repro.core import enumerate_strategy_profiles
+from repro.runtime.executor import sweep_cells
 
 
 def test_fig1_bliss_ratio(benchmark, record):
     """worst-eqP / best-eqC = O(1/log k) on the Fig. 1 family."""
-    cells = fig1_anshelevich()
+    cells = sweep_cells(SWEEPS["FIG1"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

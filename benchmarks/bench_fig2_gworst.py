@@ -1,15 +1,16 @@
 """Fig. 2 (the G_worst triangle): Lemmas 3.6 / 3.7 in both regimes."""
 
-from repro.analysis.experiments import fig2_gworst
+from repro.analysis.experiments import SWEEPS
 from repro.constructions import (
     build_gworst_high_ratio_game,
     build_gworst_low_ratio_game,
 )
+from repro.runtime.executor import sweep_cells
 
 
 def test_fig2_both_regimes(benchmark, record):
     """Omega(k) and O(1/k) worst-equilibrium separations."""
-    cells = fig2_gworst()
+    cells = sweep_cells(SWEEPS["FIG2"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.experiments import aux_frt_stretch
+from repro.analysis.experiments import SWEEPS
 from repro.embeddings import (
     FiniteMetric,
     contract_to_terminals,
@@ -10,11 +10,12 @@ from repro.embeddings import (
     verify_domination,
 )
 from repro.graphs import grid_graph, random_connected_graph
+from repro.runtime.executor import sweep_cells
 
 
 def test_frt_stretch_growth(benchmark, record):
     """Expected stretch grows like O(log n) over random graphs."""
-    cells = aux_frt_stretch()
+    cells = sweep_cells(SWEEPS["AUX-3.4"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

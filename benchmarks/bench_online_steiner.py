@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from repro.analysis.experiments import aux_online_steiner
+from repro.analysis.experiments import SWEEPS
 from repro.graphs import diamond_graph
+from repro.runtime.executor import sweep_cells
 from repro.steiner_online import (
     GreedyOnlineSteiner,
     greedy_cost_on_adversary,
@@ -13,7 +14,7 @@ from repro.steiner_online import (
 
 def test_online_steiner_lower_bound(benchmark, record):
     """E[greedy]/E[OPT] grows like Omega(log n) on diamonds."""
-    cells = aux_online_steiner()
+    cells = sweep_cells(SWEEPS["AUX-3.5"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

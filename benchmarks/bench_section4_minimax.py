@@ -2,18 +2,19 @@
 
 import numpy as np
 
-from repro.analysis.experiments import sec4_public_randomness
+from repro.analysis.experiments import SWEEPS
 from repro.minimax import (
     GamePhi,
     public_randomness_certificate,
     r_star,
     solve_zero_sum,
 )
+from repro.runtime.executor import sweep_cells
 
 
 def test_sec4_full_pipeline(benchmark, record):
     """R = R~ on random structures; q verified against many priors."""
-    cells = sec4_public_randomness()
+    cells = sweep_cells(SWEEPS["SEC4"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

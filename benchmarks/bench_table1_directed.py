@@ -7,25 +7,19 @@ computational kernel of that cell.
 
 import numpy as np
 
-from repro.analysis.experiments import (
-    t1_directed_besteq_existential,
-    t1_directed_besteq_universal,
-    t1_directed_opt_existential,
-    t1_directed_opt_universal,
-    t1_directed_worsteq_existential,
-    t1_directed_worsteq_universal,
-)
+from repro.analysis.experiments import SWEEPS
 from repro.constructions import (
     build_affine_plane_game,
     build_anshelevich_game,
     build_gworst_high_ratio_game,
     random_bayesian_ncs,
 )
+from repro.runtime.executor import sweep_cells
 
 
 def test_t1_directed_opt_universal(benchmark, record):
     """optP/optC within [1, k] on random directed games (Obs 2.2 + L3.1)."""
-    cells = t1_directed_opt_universal()
+    cells = sweep_cells(SWEEPS["T1-D-opt-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -39,7 +33,7 @@ def test_t1_directed_opt_universal(benchmark, record):
 
 def test_t1_directed_opt_existential(benchmark, record):
     """The affine-plane game's Omega(k) separation (Lemma 3.2)."""
-    cells = t1_directed_opt_existential()
+    cells = sweep_cells(SWEEPS["T1-D-opt-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -54,7 +48,7 @@ def test_t1_directed_opt_existential(benchmark, record):
 
 def test_t1_directed_besteq_universal(benchmark, record):
     """best-eq ratio within [1/H(k), k] on random directed games."""
-    cells = t1_directed_besteq_universal()
+    cells = sweep_cells(SWEEPS["T1-D-beq-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -68,7 +62,7 @@ def test_t1_directed_besteq_universal(benchmark, record):
 
 def test_t1_directed_besteq_existential(benchmark, record):
     """Omega(k) (affine) and O(1/log k) (Fig. 1) best-eq separations."""
-    cells = t1_directed_besteq_existential()
+    cells = sweep_cells(SWEEPS["T1-D-beq-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -81,7 +75,7 @@ def test_t1_directed_besteq_existential(benchmark, record):
 
 def test_t1_directed_worsteq_universal(benchmark, record):
     """worst-eq ratio within [1/k, k] on random directed games (L3.1)."""
-    cells = t1_directed_worsteq_universal()
+    cells = sweep_cells(SWEEPS["T1-D-weq-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -95,7 +89,7 @@ def test_t1_directed_worsteq_universal(benchmark, record):
 
 def test_t1_directed_worsteq_existential(benchmark, record):
     """G_worst (directed): Omega(k) and O(1/k) worst-eq separations."""
-    cells = t1_directed_worsteq_existential()
+    cells = sweep_cells(SWEEPS["T1-D-weq-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

@@ -2,14 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.experiments import (
-    t1_undirected_besteq_existential,
-    t1_undirected_besteq_universal,
-    t1_undirected_opt_existential,
-    t1_undirected_opt_universal,
-    t1_undirected_worsteq_existential,
-    t1_undirected_worsteq_universal,
-)
+from repro.analysis.experiments import SWEEPS
 from repro.constructions import (
     build_bliss_triangle,
     build_gworst_low_ratio_game,
@@ -17,11 +10,12 @@ from repro.constructions import (
     random_bayesian_ncs,
 )
 from repro.embeddings import tree_strategy_social_cost
+from repro.runtime.executor import sweep_cells
 
 
 def test_t1_undirected_opt_universal(benchmark, record):
     """optP/optC <= O(log n): exact optima + FRT witness (Lemma 3.4)."""
-    cells = t1_undirected_opt_universal()
+    cells = sweep_cells(SWEEPS["T1-U-opt-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -36,7 +30,7 @@ def test_t1_undirected_opt_universal(benchmark, record):
 
 def test_t1_undirected_opt_existential(benchmark, record):
     """Diamond games: Omega(log n) at k = Theta(n) (Lemma 3.5)."""
-    cells = t1_undirected_opt_existential()
+    cells = sweep_cells(SWEEPS["T1-U-opt-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -49,7 +43,7 @@ def test_t1_undirected_opt_existential(benchmark, record):
 
 def test_t1_undirected_besteq_universal(benchmark, record):
     """best-eq ratio within [1/H(k), min(k, log k log n)]."""
-    cells = t1_undirected_besteq_universal()
+    cells = sweep_cells(SWEEPS["T1-U-beq-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -63,7 +57,7 @@ def test_t1_undirected_besteq_universal(benchmark, record):
 
 def test_t1_undirected_besteq_existential(benchmark, record):
     """Omega(log n) (diamonds) and < 1 (bliss triangle) best-eq cells."""
-    cells = t1_undirected_besteq_existential()
+    cells = sweep_cells(SWEEPS["T1-U-beq-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -76,7 +70,7 @@ def test_t1_undirected_besteq_existential(benchmark, record):
 
 def test_t1_undirected_worsteq_universal(benchmark, record):
     """worst-eq ratio within [1/k, k] on random undirected games."""
-    cells = t1_undirected_worsteq_universal()
+    cells = sweep_cells(SWEEPS["T1-U-weq-U"])
     record(cells)
     assert all(cell.passed for cell in cells)
 
@@ -90,7 +84,7 @@ def test_t1_undirected_worsteq_universal(benchmark, record):
 
 def test_t1_undirected_worsteq_existential(benchmark, record):
     """G_worst (undirected): Omega(k) and O(1/k) separations."""
-    cells = t1_undirected_worsteq_existential()
+    cells = sweep_cells(SWEEPS["T1-U-weq-E"])
     record(cells)
     assert all(cell.passed for cell in cells)
 

@@ -11,7 +11,7 @@ from .fitting import (
     fit_power,
     growth_exponent,
 )
-from .registry import clear, register, registered_ids, run, run_all
+from .registry import clear
 from .table1 import CellResult, SeriesPoint, render_markdown, render_series_block
 
 __all__ = [
@@ -25,10 +25,6 @@ __all__ = [
     "fit_power",
     "growth_exponent",
     "clear",
-    "register",
-    "registered_ids",
-    "run",
-    "run_all",
     "CellResult",
     "SeriesPoint",
     "render_markdown",

@@ -7,8 +7,8 @@ census **cell** fixes a structural shape ``(source, agents, types,
 actions, states)`` and samples ``members`` independent games from it:
 
 ``source="tabular"``
-    Dense random-cost Bayesian games (the :mod:`repro.analysis.population`
-    families generalized to an arbitrary shape): ``agents`` players,
+    Dense random-cost Bayesian games (the named :data:`FAMILIES`
+    generalized to an arbitrary shape): ``agents`` players,
     ``types`` types and ``actions`` actions each, a random prior over the
     first ``states`` type profiles.  Every member of a cell lowers to the
     same tensor signature, so the registered batch runner answers a whole
@@ -38,10 +38,9 @@ per-error-type counts for members with no pure Bayesian equilibrium.
 :func:`render_census_table` assembles the phase-transition-style view
 across cells for the run summary.
 
-Like :mod:`repro.analysis.population`, keep this module out of
-``repro.analysis.__init__``: the runtime executor imports
-``repro.analysis.table1`` for its own unit tasks, and re-exporting the
-census here would close an import cycle.
+Keep this module out of ``repro.analysis.__init__``: the runtime
+executor imports ``repro.analysis.table1`` for its own unit tasks, and
+re-exporting the census here would close an import cycle.
 """
 
 from __future__ import annotations
@@ -56,19 +55,35 @@ import numpy as np
 from ..core.game import BayesianGame
 from ..core.measures import IgnoranceReport
 from ..core.prior import CommonPrior
-from ..core.session import BatchSession, GameSession
+from ..core.session import BatchSession, GameSession, Query, query
 from ..constructions.random_games import random_independent_bayesian_ncs
 from ..runtime.executor import UnitResult, register_batch_runner
 from ..runtime.spec import ScenarioSpec
-from .population import (
-    _cell_queries,
-    _pack,
-    decode_cell_value,
-)
 from .table1 import CellResult, SeriesPoint
 
 #: Census sources (generator families).
 SOURCES: Tuple[str, ...] = ("tabular", "ncs")
+
+#: Named same-shape families.  Every member of a family lowers to the same
+#: tensor signature, so a population shares one SoA bucket.
+FAMILIES: Dict[str, Dict[str, int]] = {
+    # The CI benchmark family: 3 agents, binary types/actions, 4 support
+    # states -> 64 strategy profiles per member, cheap to lower but with
+    # enough interim conditioning to make per-game sweeps slow in a loop.
+    "bench-3x2x2s4": {"agents": 3, "types": 2, "actions": 2, "states": 4},
+    # A smaller family for fast tests.
+    "tiny-2x2x2s2": {"agents": 2, "types": 2, "actions": 2, "states": 2},
+}
+
+#: Measures a census member understands, in canonical order.
+CELL_MEASURES: Tuple[str, ...] = (
+    "eq_c",
+    "opt_c",
+    "eq_p",
+    "opt_p",
+    "ratio",
+    "ignorance_report",
+)
 
 #: The default census bundle: both equilibrium-extreme complete costs,
 #: the complete-information optimum, and the full six-measure report.
@@ -99,6 +114,9 @@ PERCENTILES: Tuple[int, ...] = (50, 90, 95)
 HELPS_TOLERANCE = 1e-12
 
 _SEED_SALT = 0xCE9505
+
+#: Seed salt of the named :data:`FAMILIES` members.
+_POPULATION_SALT = 0xB47C
 
 _HERE = __name__
 
@@ -175,7 +193,10 @@ def _tabular_member(
     rng: np.random.Generator,
     name: str,
 ) -> BayesianGame:
-    """One dense random-cost member (population_game generalized)."""
+    """One dense random-cost member: a random prior over the first
+    ``states`` type profiles in lexicographic order with positive weights,
+    and a dense random integer cost table over ``(state, action profile,
+    agent)``; off-support type profiles cost 0."""
     support = list(itertools.product(range(types), repeat=agents))[:states]
     weights = rng.uniform(0.2, 1.0, size=len(support))
     weights = weights / weights.sum()
@@ -202,6 +223,31 @@ def _tabular_member(
     )
 
 
+def population_game(family: str, member: int) -> BayesianGame:
+    """Member ``member`` of the named same-shape ``family``.
+
+    Deterministic in ``(family, member)``; every member of a family lowers
+    to the same tensor signature, so a population shares one SoA bucket.
+    """
+    shape = FAMILIES.get(family)
+    if shape is None:
+        raise ValueError(
+            f"unknown population family {family!r}; "
+            f"expected one of {sorted(FAMILIES)}"
+        )
+    rng = np.random.default_rng(
+        (_POPULATION_SALT, zlib.crc32(family.encode("utf-8")), member)
+    )
+    return _tabular_member(
+        shape["agents"],
+        shape["types"],
+        shape["actions"],
+        shape["states"],
+        rng,
+        f"pop-{family}-{member}",
+    )
+
+
 def census_game(
     source: str, agents: int, types: int, actions: int, states: int, member: int
 ) -> Any:
@@ -225,6 +271,87 @@ def _member_session(game: Any) -> GameSession:
 
 
 # ----------------------------------------------------------------------
+# measure bundles: parsing and the strict-JSON value codec
+# ----------------------------------------------------------------------
+
+def _measure_names(measures: str) -> List[str]:
+    """Split a comma-joined measure string, rejecting empty bundles.
+
+    An empty string would otherwise expand to an empty query bundle: the
+    unit task would "succeed" with an empty dict and the result cache
+    would remember that nothing forever under the typo'd address.
+    """
+    names = [name for name in measures.split(",") if name]
+    if not names:
+        raise ValueError(
+            f"empty measure string {measures!r}; expected a comma-joined "
+            f"subset of {list(CELL_MEASURES)}"
+        )
+    return names
+
+
+def _cell_queries(measures: str) -> List[Query]:
+    names = _measure_names(measures)
+    for name in names:
+        if name not in CELL_MEASURES:
+            raise ValueError(
+                f"unknown population measure {name!r}; "
+                f"expected a comma-joined subset of {list(CELL_MEASURES)}"
+            )
+    return [query(name) for name in names]
+
+
+def encode_cell_value(value: Any) -> Any:
+    """Strict-JSON view of one measure value.
+
+    Non-finite floats (``+inf`` ratios from zero complete-information
+    costs, ``nan`` from degenerate folds) are tagged the way
+    :mod:`repro.service.codec` tags them — ``{"t": "float", "v":
+    repr(value)}`` — instead of leaking through ``json.dumps`` as the
+    non-strict literals ``Infinity``/``NaN`` that strict parsers (the
+    service codec round-trip, CSV consumers) reject.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return {"t": "float", "v": repr(value)}
+    if isinstance(value, (tuple, list)):
+        return [encode_cell_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: encode_cell_value(item) for key, item in value.items()}
+    return value
+
+
+def decode_cell_value(payload: Any) -> Any:
+    """Inverse of :func:`encode_cell_value` (tagged floats restored)."""
+    if isinstance(payload, dict):
+        if set(payload) == {"t", "v"} and payload["t"] == "float":
+            return float(payload["v"])
+        return {key: decode_cell_value(item) for key, item in payload.items()}
+    if isinstance(payload, list):
+        return [decode_cell_value(item) for item in payload]
+    return payload
+
+
+def _json_safe(name: str, value: Any) -> Any:
+    if isinstance(value, Exception):
+        return {
+            "error": {
+                "type": type(value).__name__,
+                "message": str(value),
+            }
+        }
+    if name == "ignorance_report":
+        return encode_cell_value(value.as_dict())
+    return encode_cell_value(value)
+
+
+def _pack(measures: str, values: Sequence[Any]) -> Dict[str, Any]:
+    names = _measure_names(measures)
+    return {
+        name: _json_safe(name, value) for name, value in zip(names, values)
+    }
+
+
+# ----------------------------------------------------------------------
 # unit task + batch runner
 # ----------------------------------------------------------------------
 
@@ -240,11 +367,13 @@ def unit_census_member(
 ) -> Dict[str, Any]:
     """Evaluate one census member; ``measures`` is comma-joined names.
 
-    Errors are captured per measure exactly like
-    :func:`~repro.analysis.population.unit_population_cell`; a *generator*
-    failure (the random graph cannot support the requested type count)
-    lands the same ``{"error": ...}`` payload in every measure cell, so
-    the reducer tallies it once per member.
+    A measure that fails (say the member has no pure Bayesian
+    equilibrium) yields an ``{"error": {"type", "message"}}`` cell instead
+    of aborting the member, mirroring ``evaluate_many(...,
+    on_error="capture")``; a *generator* failure (the random graph
+    cannot support the requested type count) lands the same
+    ``{"error": ...}`` payload in every measure cell, so the reducer
+    tallies it once per member.
     """
     queries = _cell_queries(measures)
     try:

@@ -8,11 +8,6 @@ through the :mod:`repro.runtime` process-pool engine, and whose
 *reducers* perform the paper's claim checks and emit
 :class:`~repro.analysis.table1.CellResult` rows.
 
-The pre-runtime API is preserved: each ``t1_*``/``fig*``/``sec4_*``/
-``aux_*`` function still returns its cell rows (now by building a spec
-and running it serially), and ``run_all_experiments()`` still regenerates
-the full suite, so ``benchmarks/`` and ``examples/`` are unaffected.
-
 Conventions
 -----------
 * *Universal* cells measure the ratio on random instance families and
@@ -68,7 +63,7 @@ from ..minimax.public_randomness import (
     verify_proposition_4_2,
 )
 from ..minimax.ratio_program import GamePhi
-from ..runtime.executor import UnitResult, sweep_cells
+from ..runtime.executor import UnitResult
 from ..runtime.spec import ScenarioSpec, SweepSpec
 from ..steiner_online.adversary import expected_competitive_ratio
 from .census import census_scenario
@@ -1164,173 +1159,3 @@ SWEEP_FACTORIES = (
 SWEEPS: Dict[str, SweepSpec] = {
     sweep.sweep_id: sweep for sweep in (factory() for factory in SWEEP_FACTORIES)
 }
-
-
-# ----------------------------------------------------------------------
-# compatibility wrappers (the pre-runtime per-cell API)
-# ----------------------------------------------------------------------
-
-def t1_directed_opt_universal(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    """optP/optC <= O(k) and >= 1 on every directed Bayesian NCS game."""
-    return sweep_cells(sweep_t1_directed_opt_universal(ks, seeds))
-
-
-def t1_directed_opt_existential(
-    orders: Sequence[int] = (2, 3, 4, 5, 7, 9),
-    mc_samples: int = 3_000,
-) -> List[CellResult]:
-    """The affine-plane game: optP/optC = Omega(k) at n = Theta(k^2)."""
-    return sweep_cells(sweep_t1_directed_opt_existential(orders, mc_samples))
-
-
-def t1_directed_besteq_universal(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    """best-eqP/best-eqC in [Omega(1/log k), O(k)] on directed games."""
-    return sweep_cells(sweep_t1_directed_besteq_universal(ks, seeds))
-
-
-def t1_directed_besteq_existential(
-    orders: Sequence[int] = (2, 3, 4, 5, 7),
-    anshelevich_ks: Sequence[int] = (4, 8, 16, 32, 64),
-) -> List[CellResult]:
-    """Omega(k) via the affine game; O(1/log k) via the Fig. 1 game."""
-    return sweep_cells(
-        sweep_t1_directed_besteq_existential(orders, anshelevich_ks)
-    )
-
-
-def t1_directed_worsteq_universal(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    """worst-eqP/worst-eqC in [Omega(1/k), O(k)] on directed games."""
-    return sweep_cells(sweep_t1_directed_worsteq_universal(ks, seeds))
-
-
-def t1_directed_worsteq_existential(
-    ks: Sequence[int] = (4, 8, 16, 32, 64),
-) -> List[CellResult]:
-    """G_worst (directed variant): Omega(k) and O(1/k) at n = O(1)."""
-    return sweep_cells(sweep_t1_directed_worsteq_existential(ks))
-
-
-def t1_undirected_opt_universal(
-    ns: Sequence[int] = (5, 6, 7, 8),
-    seeds: Sequence[int] = (0, 1, 2),
-    tree_samples: int = 5,
-) -> List[CellResult]:
-    """optP/optC <= O(log n) on undirected games (Lemma 3.4)."""
-    return sweep_cells(sweep_t1_undirected_opt_universal(ns, seeds, tree_samples))
-
-
-def t1_undirected_opt_existential(
-    levels: Sequence[int] = (1, 2, 3, 4, 5),
-    samples: int = 16,
-) -> List[CellResult]:
-    """Diamond games: optP/optC = Omega(log n) at k = Theta(n) (Lemma 3.5)."""
-    return sweep_cells(sweep_t1_undirected_opt_existential(levels, samples))
-
-
-def t1_undirected_besteq_universal(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    """best-eqP/best-eqC in [Omega(1/log k), O(min{k, log k log n})]."""
-    return sweep_cells(sweep_t1_undirected_besteq_universal(ks, seeds))
-
-
-def t1_undirected_besteq_existential(
-    levels: Sequence[int] = (1, 2, 3, 4),
-    samples: int = 16,
-) -> List[CellResult]:
-    """Omega(log n) via diamonds; < 1 via the bliss triangle."""
-    return sweep_cells(sweep_t1_undirected_besteq_existential(levels, samples))
-
-
-def t1_undirected_worsteq_universal(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    return sweep_cells(sweep_t1_undirected_worsteq_universal(ks, seeds))
-
-
-def t1_undirected_worsteq_existential(
-    ks: Sequence[int] = (4, 8, 16, 32, 64),
-) -> List[CellResult]:
-    return sweep_cells(sweep_t1_undirected_worsteq_existential(ks))
-
-
-def fig1_anshelevich(
-    ks: Sequence[int] = (4, 8, 16, 32, 64),
-    exact_k: int = 6,
-) -> List[CellResult]:
-    """Fig. 1 / Remark 1: worst-eqP/best-eqC vanishes like 1/log k."""
-    return sweep_cells(sweep_fig1(ks, exact_k))
-
-
-def fig2_gworst(ks: Sequence[int] = (4, 8, 16, 32, 64)) -> List[CellResult]:
-    """Fig. 2: both parameter regimes of the triangle gadget."""
-    return sweep_cells(sweep_fig2(ks))
-
-
-def sec4_public_randomness(
-    trials: int = 6,
-    shape: Tuple[int, int] = (5, 4),
-    priors_per_trial: int = 30,
-) -> List[CellResult]:
-    """Proposition 4.2 (R = R~) and Lemma 4.1 (one q for all priors)."""
-    return sweep_cells(sweep_sec4(trials, shape, priors_per_trial))
-
-
-def aux_frt_stretch(
-    ns: Sequence[int] = (8, 16, 32, 64),
-    trees_per_n: int = 12,
-) -> List[CellResult]:
-    """FRT expected stretch grows like O(log n) (and trees dominate)."""
-    return sweep_cells(sweep_aux_frt_stretch(ns, trees_per_n))
-
-
-def aux_online_steiner(
-    levels: Sequence[int] = (1, 2, 3, 4, 5),
-    samples: int = 12,
-) -> List[CellResult]:
-    """Greedy online Steiner pays Omega(log n) on diamond adversaries."""
-    return sweep_cells(sweep_aux_online_steiner(levels, samples))
-
-
-def aux_dynamics(
-    ks: Sequence[int] = DEFAULT_KS, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> List[CellResult]:
-    """Best-response dynamics fixed points sit between the eq extremes."""
-    return sweep_cells(sweep_aux_dynamics(ks, seeds))
-
-
-#: Every experiment function, in reporting order.
-ALL_EXPERIMENTS = (
-    t1_directed_opt_universal,
-    t1_directed_opt_existential,
-    t1_directed_besteq_universal,
-    t1_directed_besteq_existential,
-    t1_directed_worsteq_universal,
-    t1_directed_worsteq_existential,
-    t1_undirected_opt_universal,
-    t1_undirected_opt_existential,
-    t1_undirected_besteq_universal,
-    t1_undirected_besteq_existential,
-    t1_undirected_worsteq_universal,
-    t1_undirected_worsteq_existential,
-    fig1_anshelevich,
-    fig2_gworst,
-    sec4_public_randomness,
-    aux_frt_stretch,
-    aux_online_steiner,
-    aux_dynamics,
-)
-
-
-def run_all_experiments() -> List[CellResult]:
-    """Run the full reproduction suite with default sizes."""
-    cells: List[CellResult] = []
-    for experiment in ALL_EXPERIMENTS:
-        cells.extend(experiment())
-    return cells

@@ -1,52 +1,25 @@
-"""The experiment registry: spec-backed ids plus legacy callables.
+"""The experiment registry: every experiment id is a sweep spec.
 
 Every experiment id (T1-D-opt-E, FIG1, SEC4, ...) is backed by a
 :class:`~repro.runtime.spec.SweepSpec` declared in
 :mod:`repro.analysis.experiments`; ``sweep_specs()`` exposes them (plus
 any specs registered at runtime) to the ``python -m repro`` CLI and the
-parallel engine.
-
-The original callable-based API is kept as a thin compatibility layer:
-``register``/``registered_ids`` manage ad-hoc cell-producing callables
-(used by tests and one-off scripts), and ``run``/``run_all`` execute
-either kind — callables directly, spec-backed ids through the engine.
+parallel engine.  Run one with
+:func:`~repro.runtime.executor.sweep_cells`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
-
-from .table1 import CellResult
-
-ExperimentFn = Callable[[], List[CellResult]]
-
-_REGISTRY: Dict[str, ExperimentFn] = {}
+from typing import Dict, Iterable, List
 
 #: Sweep specs registered at runtime (on top of the built-in suite).
 _SWEEPS: Dict[str, "SweepSpec"] = {}
-
-
-def register(experiment_id: str) -> Callable[[ExperimentFn], ExperimentFn]:
-    """Decorator: register a callable producing the cell(s) of one id."""
-
-    def wrap(fn: ExperimentFn) -> ExperimentFn:
-        if experiment_id in _REGISTRY:
-            raise ValueError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = fn
-        return fn
-
-    return wrap
 
 
 def register_sweep(sweep: "SweepSpec") -> "SweepSpec":
     """Register (or replace) a runtime sweep spec under its sweep id."""
     _SWEEPS[sweep.sweep_id] = sweep
     return sweep
-
-
-def registered_ids() -> List[str]:
-    """Ids of ad-hoc registered callables (legacy API; sorted)."""
-    return sorted(_REGISTRY)
 
 
 def sweep_specs() -> Dict[str, "SweepSpec"]:
@@ -104,31 +77,6 @@ def resolve_sweeps(tokens: Iterable[str]) -> List["SweepSpec"]:
     return list(selected.values())
 
 
-def run(experiment_id: str, jobs: int = 1) -> List[CellResult]:
-    """Run one experiment id: a registered callable or a sweep spec."""
-    fn = _REGISTRY.get(experiment_id)
-    if fn is not None:
-        return fn()
-    specs = sweep_specs()
-    if experiment_id in specs:
-        from ..runtime.executor import sweep_cells
-
-        return sweep_cells(specs[experiment_id], jobs=jobs)
-    raise KeyError(
-        f"unknown experiment {experiment_id!r}; "
-        f"known: {sorted(set(registered_ids()) | set(specs))}"
-    )
-
-
-def run_all(ids: Optional[Iterable[str]] = None, jobs: int = 1) -> List[CellResult]:
-    """Run several ids (default: every ad-hoc registered callable)."""
-    results: List[CellResult] = []
-    for experiment_id in ids if ids is not None else registered_ids():
-        results.extend(run(experiment_id, jobs=jobs))
-    return results
-
-
 def clear() -> None:
-    """Testing hook: forget all ad-hoc registrations."""
-    _REGISTRY.clear()
+    """Testing hook: forget all runtime sweep registrations."""
     _SWEEPS.clear()

@@ -45,8 +45,8 @@ touches it.  Per-state geometry (shapes, strides, sizes) comes from the
 structural walk both share, so nothing structural ever needs a block.
 
 Engine selection: the ``REPRO_ENGINE`` environment variable chooses the
-default — ``"auto"`` (lower when possible), ``"tensor"`` (alias of
-``auto``), or ``"reference"`` (never lower) — and :func:`engine_override`
+default — ``"auto"`` (lower when possible) or ``"reference"`` (never
+lower) — and :func:`engine_override`
 scopes a different engine over the *current context* only.  The override
 is backed by :mod:`contextvars`, so concurrently running thread-backend
 unit tasks (and async tasks) each see only their own pin: nothing is
@@ -105,7 +105,7 @@ LOWER_MODES = ("auto", "full", "lazy")
 # ----------------------------------------------------------------------
 
 ENGINE_ENV = "REPRO_ENGINE"
-ENGINES = ("auto", "tensor", "reference")
+ENGINES = ("auto", "reference")
 
 
 def _initial_engine() -> str:

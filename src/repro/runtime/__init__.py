@@ -47,7 +47,6 @@ from .executor import (
     SweepRun,
     UnitResult,
     expand_sweeps,
-    normalized_engine,
     reduce_sweeps,
     run_sweep,
     run_sweeps,
@@ -89,7 +88,6 @@ __all__ = [
     "collect_queue",
     "fill_queue",
     "run_worker",
-    "normalized_engine",
     "RunStats",
     "ScenarioRun",
     "SweepRun",

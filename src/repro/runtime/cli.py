@@ -7,8 +7,7 @@ Subcommands::
     python -m repro run FIG1 SEC4         # run experiments (cached)
     python -m repro sweep T1 --jobs 4     # prefix selection + grid overrides
     python -m repro sweep T1 --shard 1/4  # run one shard of a split sweep
-    python -m repro report                # the full suite, like the old
-                                          #   python -m repro.analysis.report
+    python -m repro report                # the full suite, census included
     python -m repro report --shard 1/4    # one shard of the full suite
     python -m repro shard merge report    # complete the sharded report
     python -m repro shard plan T1 -n 4    # preview the shard partition
@@ -455,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="LRU capacity: at most N lowered game sessions (default 64)",
     )
     serve_parser.add_argument(
-        "--engine", choices=("auto", "reference", "tensor"), default=None,
+        "--engine", choices=("auto", "reference"), default=None,
         help="pin every served session to one evaluation engine "
         "(default: the process default)",
     )

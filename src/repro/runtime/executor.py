@@ -22,8 +22,9 @@ one shared pool (deduplication spans sweeps, so e.g. the three Table-1
 universal cells share their random-game reports), and hands each
 scenario's ordered values to its reducer to produce ``CellResult`` rows.
 The expand and reduce halves are exposed separately (``expand_sweeps`` /
-``reduce_sweeps``) so the shard scheduler (:mod:`repro.runtime.shard`)
-can reduce merged cross-machine results through the identical code path.
+``reduce_sweeps``), and ``collect_sweeps`` reduces rows computed
+elsewhere — shard manifests (:mod:`repro.runtime.shard`) and queue
+result rows (:mod:`repro.runtime.queue`) — through the identical path.
 
 Scheduling is cost-aware when a ``cost_model`` is supplied (built from a
 prior run's ``meta.json`` unit timings): pending units dispatch
@@ -34,12 +35,23 @@ cost spread.  Scheduling decisions never change result rows.
 from __future__ import annotations
 
 import importlib
+import json
 import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from ..analysis.table1 import CellResult
 from ..core.tensor import engine_override, get_engine
@@ -53,15 +65,6 @@ MP_START_METHOD = "spawn"
 
 #: Recognized execution backends.
 BACKENDS = ("process", "thread", "serial")
-
-
-def normalized_engine() -> str:
-    """The caller's effective evaluation engine, with the ``tensor``
-    alias folded into its target ``auto`` — the engine label recorded by
-    shard manifests and queue result rows, matching what
-    :meth:`UnitTask.key` folds into cache addresses."""
-    engine = get_engine()
-    return "auto" if engine == "tensor" else engine
 
 
 @dataclass
@@ -433,6 +436,84 @@ def reduce_sweeps(
             )
         sweep_runs.append(sweep_run)
     return sweep_runs
+
+
+def collect_sweeps(
+    sweeps: Sequence[SweepSpec],
+    rows: Mapping[str, Mapping[str, Any]],
+    backend: str,
+    error: Type[Exception],
+    missing_from: str,
+    missing_hint: str,
+    producers: Tuple[str, str],
+    load: Callable[[UnitTask, Mapping[str, Any]], Any] = (
+        lambda unit, row: row["value"]
+    ),
+) -> Tuple[List[SweepRun], RunStats, str]:
+    """Reduce result rows computed elsewhere into full sweep runs.
+
+    ``rows`` maps a unit's engine-free :meth:`UnitTask.address` to a row
+    with ``engine``, ``seconds`` and optionally ``cached`` (default
+    true); ``load(unit, row)`` returns the unit's value, once per unique
+    address in submission order.  Every unique unit of the expanded
+    sweeps must have a row and all its rows must share one engine, else
+    ``error`` is raised; the message names what was ``missing_from``
+    with the first three missing units and ``missing_hint``, or the
+    ``producers`` (rows, re-runnable source) that mixed engines.
+    Reduction goes through :func:`reduce_sweeps`, so the cell rows are
+    byte-identical to a local run under the same engine.  Returns the
+    sweep runs, ``RunStats`` labelled ``backend`` and the engine.
+    """
+    units, slices = expand_sweeps(sweeps)
+    addresses: Dict[UnitTask, str] = {}
+    missing: List[UnitTask] = []
+    for unit in units:
+        if unit in addresses:
+            continue
+        address = unit.address()
+        addresses[unit] = address
+        if address not in rows:
+            missing.append(unit)
+    if missing:
+        preview = ", ".join(
+            f"{unit.task.rsplit(':', 1)[-1]}({json.dumps(unit.kwargs, sort_keys=True)})"
+            for unit in missing[:3]
+        )
+        raise error(
+            f"{len(missing)} of {len(addresses)} unique unit task(s) "
+            f"{missing_from} (first: {preview}); {missing_hint}"
+        )
+
+    engines = sorted({str(rows[address]["engine"]) for address in addresses.values()})
+    if len(engines) > 1:
+        raise error(
+            f"{producers[0]} mix evaluation engines {engines}; re-run the "
+            f"{producers[1]} under one engine (see docs/ENGINE.md)"
+        )
+
+    values = {address: load(unit, rows[address]) for unit, address in addresses.items()}
+    results: List[UnitResult] = []
+    for unit in units:
+        address = addresses[unit]
+        results.append(
+            UnitResult(
+                task=unit.task,
+                params=unit.kwargs,
+                value=values[address],
+                cached=bool(rows[address].get("cached", True)),
+                seconds=rows[address]["seconds"],
+            )
+        )
+    stats = RunStats(
+        total_units=len(units),
+        unique_units=len(addresses),
+        executed=0,
+        cache_hits=len(addresses),
+        jobs=1,
+        backend=backend,
+        executed_seconds=float(sum(rows[address]["seconds"] for address in values)),
+    )
+    return reduce_sweeps(slices, results), stats, engines[0]
 
 
 def run_sweeps(

@@ -43,11 +43,12 @@ State machine (per row)::
 
 ``collect_queue`` is the merge half: it verifies coverage (every unique
 unit of the selected sweeps has a ``done`` result row), checks engine
-and package-version uniformity, and reduces through the shared
-:func:`~repro.runtime.executor.reduce_sweeps` path — so ``report
---from-queue`` artifacts are byte-identical to ``--shard``-merged and
-plain local runs.  ``shard merge`` remains the offline fallback when no
-shared database is reachable.
+and package-version uniformity, and reduces through
+:func:`~repro.runtime.executor.collect_sweeps`, the collector
+``merge_shards`` uses too — so ``report --from-queue`` artifacts are
+byte-identical to ``--shard``-merged and plain local runs.  ``shard
+merge`` remains the offline fallback when no shared database is
+reachable.
 
 The schema sticks to portable ANSI column types (TEXT/REAL/INTEGER) so
 the table can move to MySQL/PostgreSQL; the one sqlite-ism to adapt is
@@ -80,14 +81,14 @@ from typing import (
     Union,
 )
 
+from ..core.tensor import get_engine
 from .cache import ResultCache, decode_value, encode_value
 from .executor import (
     RunStats,
     SweepRun,
     UnitResult,
+    collect_sweeps,
     expand_sweeps,
-    normalized_engine,
-    reduce_sweeps,
     run_units,
 )
 from .spec import SweepSpec, UnitTask, _version_salt
@@ -698,7 +699,7 @@ def _execute_claim(
     group run raises, units are retried one by one so a single poisonous
     unit fails alone instead of taking its groupmates down with it.
     """
-    engine = normalized_engine()
+    engine = get_engine()
     units = [task.unit() for task in claim.tasks]
 
     def writeback(task: QueueTask, result: UnitResult) -> None:
@@ -822,12 +823,11 @@ def collect_queue(
 ) -> Tuple[List[SweepRun], RunStats, Dict[str, Any]]:
     """Reduce a queue's result rows into full sweep runs.
 
-    The coverage contract mirrors :func:`~repro.runtime.shard.
-    merge_shards`: every unique unit of the expanded sweeps must have a
-    ``done`` result row (found by engine-free address), all rows must
-    share one engine and the current package version, and reduction goes
-    through the shared :func:`reduce_sweeps` path — so the cell rows are
-    byte-identical to an unsharded local run under the same engine.
+    Every unique unit of the expanded sweeps must have a ``done`` result
+    row (found by engine-free address) and all rows must share one
+    engine; :func:`~repro.runtime.executor.collect_sweeps` checks both
+    and reduces, so the cell rows are byte-identical to an unsharded
+    local run under the same engine.
 
     With ``cache``, every collected value is also imported into the
     local result cache under its ordinary engine-salted key (the same
@@ -838,89 +838,48 @@ def collect_queue(
     table = queue.result_rows()
     counts = queue.counts()
 
-    units, slices = expand_sweeps(sweeps)
-    addresses: Dict[UnitTask, str] = {}
-    missing: List[UnitTask] = []
-    for unit in units:
-        if unit in addresses:
-            continue
-        address = unit.address()
-        addresses[unit] = address
-        if address not in table:
-            missing.append(unit)
-    if missing:
-        preview = ", ".join(
-            f"{unit.task.rsplit(':', 1)[-1]}({json.dumps(unit.kwargs, sort_keys=True)})"
-            for unit in missing[:3]
-        )
-        raise QueueError(
-            f"{len(missing)} of {len(addresses)} unique unit task(s) have no "
-            f"result row in {queue.path} (first: {preview}); queue states: "
-            f"{counts}. Run more workers (or 'queue requeue' stragglers) "
-            f"and collect again"
-        )
+    def load(unit: UnitTask, row: Mapping[str, Any]) -> Any:
+        try:
+            value = decode_value(row["value"])
+        except ValueError:
+            raise QueueError(
+                f"corrupt result row for unit {unit.address()[:12]} in "
+                f"{queue.path}: value is not valid JSON; delete the row "
+                f"and re-queue the unit"
+            ) from None
+        if cache is not None:
+            key = unit.key(engine=row["engine"])
+            if not cache.path_for(key).exists():
+                cache.put(
+                    key,
+                    value,
+                    meta={
+                        "task": unit.task,
+                        "params": list(unit.params),
+                        "engine": row["engine"],
+                    },
+                )
+        return value
 
-    engines = sorted({table[addresses[unit]]["engine"] for unit in addresses})
-    if len(engines) > 1:
-        raise QueueError(
-            f"queue results mix evaluation engines {engines}; re-run the "
-            f"workers under one engine (see docs/ENGINE.md)"
-        )
-
-    results: List[UnitResult] = []
-    decoded: Dict[str, Any] = {}
-    executed_seconds = 0.0
-    for unit in units:
-        address = addresses[unit]
-        if address not in decoded:
-            row = table[address]
-            try:
-                decoded[address] = decode_value(row["value"])
-            except ValueError:
-                raise QueueError(
-                    f"corrupt result row for unit {address[:12]} in "
-                    f"{queue.path}: value is not valid JSON; delete the row "
-                    f"and re-queue the unit"
-                ) from None
-            executed_seconds += row["seconds"]
-            if cache is not None:
-                key = unit.key(engine=engines[0])
-                if not cache.path_for(key).exists():
-                    cache.put(
-                        key,
-                        decoded[address],
-                        meta={
-                            "task": unit.task,
-                            "params": list(unit.params),
-                            "engine": engines[0],
-                        },
-                    )
-        results.append(
-            UnitResult(
-                task=unit.task,
-                params=unit.kwargs,
-                value=decoded[address],
-                cached=True,
-                seconds=table[address]["seconds"],
-            )
-        )
-    sweep_runs = reduce_sweeps(slices, results)
-
-    stats = RunStats(
-        total_units=len(units),
-        unique_units=len(addresses),
-        executed=0,
-        cache_hits=len(addresses),
-        jobs=1,
+    sweep_runs, stats, engine = collect_sweeps(
+        sweeps,
+        table,
         backend="queue-collect",
-        executed_seconds=float(executed_seconds),
+        error=QueueError,
+        missing_from=f"have no result row in {queue.path}",
+        missing_hint=(
+            f"queue states: {counts}. Run more workers (or 'queue requeue' "
+            f"stragglers) and collect again"
+        ),
+        producers=("queue results", "workers"),
+        load=load,
     )
     collect_meta = {
-        "engine": engines[0],
+        "engine": engine,
         "queue": str(queue.path),
         "queue_states": counts,
         "result_rows": len(table),
-        "executed_seconds": round(executed_seconds, 3),
+        "executed_seconds": round(stats.executed_seconds, 3),
     }
     return sweep_runs, stats, collect_meta
 

@@ -29,14 +29,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.tensor import get_engine
 from .cache import ResultCache
 from .executor import (
     RunStats,
     SweepRun,
     UnitResult,
+    collect_sweeps,
     expand_sweeps,
-    normalized_engine,
-    reduce_sweeps,
     run_units,
 )
 from .spec import SweepSpec, UnitTask, _version_salt, canonical_digest
@@ -340,7 +340,7 @@ def run_shard(
     return ShardRun(
         plan=plan,
         shard_index=shard_index,
-        engine=normalized_engine(),
+        engine=get_engine(),
         results=results,
         stats=stats,
     )
@@ -364,12 +364,32 @@ def merge_shards(
     in the merge metadata), so a re-split never has to hand-clean the
     shards directory.  The remaining manifests must share one engine and
     the current package version; plan hashes may differ (e.g.
-    overlapping plans) and are reported too.  Reduction goes through the
-    exact executor code path, so the resulting cell rows are
-    byte-identical to an unsharded run under the same engine.
+    overlapping plans) and are reported too.  A manifest that is not a
+    JSON object, or has a unit entry without ``address``/``value``,
+    raises :class:`ShardMergeError` naming its position: manifests are
+    copied between machines, so they are outside input.  Reduction goes
+    through :func:`~repro.runtime.executor.collect_sweeps`, so the
+    resulting cell rows are byte-identical to an unsharded run under the
+    same engine.
     """
     if not manifests:
         raise ShardMergeError("no shard manifests to merge")
+    for position, manifest in enumerate(manifests, 1):
+        name = f"shard manifest {position} of {len(manifests)}"
+        if not isinstance(manifest, Mapping):
+            raise ShardMergeError(
+                f"{name} is a JSON {type(manifest).__name__}, not an object; "
+                f"re-run or re-copy that shard"
+            )
+        entries = manifest.get("units", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(entry, Mapping) and {"address", "value"} <= set(entry)
+            for entry in entries
+        ):
+            raise ShardMergeError(
+                f"{name} has a unit entry without an address or value; "
+                f"re-run or re-copy that shard"
+            )
 
     expected_hashes = {sweep.sweep_id: sweep.spec_hash() for sweep in sweeps}
     matching = [
@@ -384,12 +404,6 @@ def merge_shards(
         )
     manifests = matching
 
-    engines = sorted({str(m.get("engine")) for m in manifests})
-    if len(engines) > 1:
-        raise ShardMergeError(
-            f"shard manifests mix evaluation engines {engines}; re-run the "
-            f"shards under one engine (see docs/ENGINE.md)"
-        )
     versions = sorted({str(m.get("version")) for m in manifests})
     if versions != [_version_salt()]:
         raise ShardMergeError(
@@ -397,59 +411,27 @@ def merge_shards(
             f"but this is {_version_salt()!r}; re-run the shards"
         )
 
-    table: Dict[str, Mapping[str, Any]] = {}
+    rows: Dict[str, Mapping[str, Any]] = {}
     for manifest in manifests:
-        for entry in manifest.get("units", ()):
-            table[str(entry["address"])] = entry
+        for entry in manifest.get("units", []):
+            rows[str(entry["address"])] = {
+                "engine": str(manifest.get("engine")),
+                "value": entry["value"],
+                "cached": bool(entry.get("cached", False)),
+                "seconds": float(entry.get("seconds", 0.0)),
+            }
 
-    units, slices = expand_sweeps(sweeps)
-    missing: List[UnitTask] = []
-    addresses: Dict[UnitTask, str] = {}
-    for unit in units:
-        if unit in addresses:
-            continue
-        address = unit.address()
-        addresses[unit] = address
-        if address not in table:
-            missing.append(unit)
-    if missing:
-        preview = ", ".join(
-            f"{unit.task.rsplit(':', 1)[-1]}({json.dumps(unit.kwargs, sort_keys=True)})"
-            for unit in missing[:3]
-        )
-        raise ShardMergeError(
-            f"{len(missing)} of {len(addresses)} unique unit task(s) missing "
-            f"from the merged shard manifests (first: {preview}); run the "
-            f"remaining shard(s) of the same plan first"
-        )
-
-    results = []
-    for unit in units:
-        entry = table[addresses[unit]]
-        results.append(
-            UnitResult(
-                task=unit.task,
-                params=unit.kwargs,
-                value=entry["value"],
-                cached=bool(entry.get("cached", False)),
-                seconds=float(entry.get("seconds", 0.0)),
-            )
-        )
-    sweep_runs = reduce_sweeps(slices, results)
-
-    stats = RunStats(
-        total_units=len(units),
-        unique_units=len(addresses),
-        executed=0,
-        cache_hits=len(addresses),
-        jobs=1,
+    sweep_runs, stats, engine = collect_sweeps(
+        sweeps,
+        rows,
         backend="shard-merge",
-        executed_seconds=float(
-            sum(m.get("stats", {}).get("executed_seconds", 0.0) for m in manifests)
-        ),
+        error=ShardMergeError,
+        missing_from="missing from the merged shard manifests",
+        missing_hint="run the remaining shard(s) of the same plan first",
+        producers=("shard manifests", "shards"),
     )
     merge_meta = {
-        "engine": engines[0],
+        "engine": engine,
         "manifests": len(manifests),
         "ignored_manifests": ignored,
         "plan_hashes": sorted({str(m.get("plan_hash")) for m in manifests}),
@@ -460,3 +442,4 @@ def merge_shards(
         "executed_seconds": round(stats.executed_seconds, 3),
     }
     return sweep_runs, stats, merge_meta
+

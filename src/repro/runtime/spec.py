@@ -116,7 +116,7 @@ class UnitTask:
         ``engine`` defaults to the ambient :func:`repro.core.tensor.
         get_engine`; the executor passes the submitting caller's engine
         explicitly so cached reference-path and tensor-path values can
-        never alias (``tensor`` normalizes to its alias target ``auto``).
+        never alias.
         """
         if engine is None:
             from ..core.tensor import get_engine
@@ -127,7 +127,7 @@ class UnitTask:
                 "task": self.task,
                 "params": self.params,
                 "version": _version_salt(),
-                "engine": "auto" if engine == "tensor" else engine,
+                "engine": engine,
             }
         )
 

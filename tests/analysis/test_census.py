@@ -1,21 +1,26 @@
 """Random-game census: generators, reducers, artifacts, queue parity."""
 
+import hashlib
+import itertools
 import json
 
 import pytest
 
 from repro.analysis.census import (
+    CELL_MEASURES,
+    FAMILIES,
     HISTOGRAM_EDGES,
     batch_census_members,
     census_game,
     census_scenario,
     census_statistics,
+    encode_cell_value,
+    population_game,
     reduce_census_cell,
     render_census_table,
     unit_census_member,
     validate_cell,
 )
-from repro.analysis.population import encode_cell_value
 from repro.core import tensor
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import UnitResult, run_sweeps
@@ -102,6 +107,95 @@ class TestCensusGame:
         for agent in range(2):
             assert first.types(agent) == second.types(agent)
         assert first.prior.support() == second.prior.support()
+
+
+def game_fingerprint(game):
+    """Digest of a game's name, prior and every cost (byte identity)."""
+    digest = hashlib.sha256(game.name.encode())
+    for state, prob in game.prior.support():
+        digest.update(repr((state, prob)).encode())
+    agents = range(game.num_agents)
+    for types in itertools.product(*[game.types(i) for i in agents]):
+        for actions in itertools.product(*[game.actions(i) for i in agents]):
+            for i in agents:
+                digest.update(repr(game.cost(i, types, actions)).encode())
+    return digest.hexdigest()[:16]
+
+
+class TestPopulationFamilies:
+    def test_members_are_pinned(self):
+        # Digests of the members the batch benches and service tests use;
+        # any change to the seed, the name or the generator breaks them.
+        pinned = {
+            "tiny-2x2x2s2": [
+                "62dc829d9661a105", "68f623e07bdbaf4e",
+                "ce43dfae0cfd85ea", "f946a26efe0c953d",
+            ],
+            "bench-3x2x2s4": [
+                "121344c56dfe6b4e", "4553cbc5c0b1791c",
+                "6b03e9566b85131e", "b691a204cd0a9d3a",
+            ],
+        }
+        for family, digests in pinned.items():
+            assert [
+                game_fingerprint(population_game(family, member))
+                for member in (0, 1, 7, 999)
+            ] == digests
+
+    def test_members_are_deterministic(self):
+        first = population_game("tiny-2x2x2s2", 7)
+        second = population_game("tiny-2x2x2s2", 7)
+        assert first.name == "pop-tiny-2x2x2s2-7"
+        assert game_fingerprint(first) == game_fingerprint(second)
+
+    def test_every_family_is_same_shape(self):
+        for family in FAMILIES:
+            lowered = [
+                tensor.maybe_lower(population_game(family, member))
+                for member in range(3)
+            ]
+            assert all(tg is not None for tg in lowered)
+            assert len({tensor.batch_signature(tg) for tg in lowered}) == 1
+
+    def test_unknown_family_is_refused(self):
+        with pytest.raises(ValueError, match="unknown population family"):
+            population_game("no-such-family", 0)
+
+    def test_off_support_profiles_cost_zero(self):
+        game = population_game("tiny-2x2x2s2", 0)
+        k = game.num_agents
+        assert game.cost(0, (9,) * k, (0,) * k) == 0.0
+
+
+class TestMeasureBundles:
+    CELL = dict(source="tabular", agents=2, types=2, actions=2, states=2)
+
+    def test_failing_measures_become_error_cells(self):
+        measures = ",".join(CELL_MEASURES)
+        cells = [
+            unit_census_member(**self.CELL, member=member, measures=measures)
+            for member in range(8)
+        ]
+        errors = [
+            cell[name]["error"]
+            for cell in cells
+            for name in cell
+            if isinstance(cell[name], dict) and "error" in cell[name]
+        ]
+        assert errors, "corpus must include failing members for this test"
+        assert all({"type", "message"} <= set(e) for e in errors)
+
+    def test_unknown_measure_is_refused(self):
+        with pytest.raises(ValueError, match="unknown population measure"):
+            unit_census_member(**self.CELL, member=0, measures="eq_c,bogus")
+
+    def test_empty_measure_string_is_refused(self):
+        # Regression: measures="" used to expand to an empty bundle that
+        # "succeeded" with {} and was cached forever under that address.
+        with pytest.raises(ValueError, match="empty measure string"):
+            unit_census_member(**self.CELL, member=0, measures="")
+        with pytest.raises(ValueError, match="empty measure string"):
+            batch_census_members([dict(self.CELL, member=0, measures=",")])
 
 
 class TestUnitAndBatch:

@@ -1,110 +1,40 @@
-"""Same-shape population families and their batched cell tasks."""
+"""Full measure bundles over a population family's shape, and the cell codec."""
 
-import pytest
+import json
+import math
 
-from repro.analysis.population import (
+from repro.analysis.census import (
     CELL_MEASURES,
     FAMILIES,
-    batch_population_cells,
+    batch_census_members,
     decode_cell_value,
     encode_cell_value,
-    population_game,
-    unit_population_cell,
+    unit_census_member,
 )
-from repro.core import tensor
 
-
-class TestPopulationGame:
-    def test_members_are_deterministic(self):
-        first = population_game("tiny-2x2x2s2", 7)
-        second = population_game("tiny-2x2x2s2", 7)
-        support = first.prior.support()
-        assert support == second.prior.support()
-        for state, _prob in support:
-            actions = tuple(0 for _ in range(first.num_agents))
-            assert first.cost(0, state, actions) == second.cost(
-                0, state, actions
-            )
-
-    def test_every_family_is_same_shape(self):
-        for family in FAMILIES:
-            lowered = [
-                tensor.maybe_lower(population_game(family, member))
-                for member in range(3)
-            ]
-            assert all(tg is not None for tg in lowered)
-            assert len({tensor.batch_signature(tg) for tg in lowered}) == 1
-
-    def test_unknown_family_is_refused(self):
-        with pytest.raises(ValueError, match="unknown population family"):
-            population_game("no-such-family", 0)
-
-    def test_off_support_profiles_cost_zero(self):
-        game = population_game("tiny-2x2x2s2", 0)
-        k = game.num_agents
-        assert game.cost(0, (9,) * k, (0,) * k) == 0.0
+#: The census cell with the shape of the ``tiny-2x2x2s2`` family.
+TINY = dict(source="tabular", **FAMILIES["tiny-2x2x2s2"])
 
 
 class TestCells:
     def test_unit_and_batch_cells_agree(self):
         measures = ",".join(CELL_MEASURES)
-        rows = [
-            dict(family="tiny-2x2x2s2", member=member, measures=measures)
-            for member in range(6)
+        rows = [dict(TINY, member=member, measures=measures) for member in range(6)]
+        assert batch_census_members(rows) == [
+            unit_census_member(**row) for row in rows
         ]
-        assert batch_population_cells(rows) == [
-            unit_population_cell(**row) for row in rows
-        ]
-
-    def test_failing_measures_become_error_cells(self):
-        measures = ",".join(CELL_MEASURES)
-        cells = [
-            unit_population_cell(
-                family="tiny-2x2x2s2", member=member, measures=measures
-            )
-            for member in range(8)
-        ]
-        errors = [
-            cell[name]["error"]
-            for cell in cells
-            for name in cell
-            if isinstance(cell[name], dict) and "error" in cell[name]
-        ]
-        assert errors, "corpus must include failing members for this test"
-        assert all({"type", "message"} <= set(e) for e in errors)
-
-    def test_unknown_measure_is_refused(self):
-        with pytest.raises(ValueError, match="unknown population measure"):
-            unit_population_cell(
-                family="tiny-2x2x2s2", member=0, measures="eq_c,bogus"
-            )
 
     def test_cells_are_json_safe(self):
-        import json
-
-        cell = unit_population_cell(
-            family="tiny-2x2x2s2", member=0, measures=",".join(CELL_MEASURES)
+        cell = unit_census_member(
+            **TINY, member=0, measures=",".join(CELL_MEASURES)
         )
-        assert json.loads(json.dumps(cell)) == cell
-
-    def test_empty_measure_string_is_refused(self):
-        # Regression: measures="" used to expand to an empty bundle that
-        # "succeeded" with {} and was cached forever under that address.
-        with pytest.raises(ValueError, match="empty measure string"):
-            unit_population_cell(family="tiny-2x2x2s2", member=0, measures="")
-        with pytest.raises(ValueError, match="empty measure string"):
-            batch_population_cells(
-                [dict(family="tiny-2x2x2s2", member=0, measures=",")]
-            )
+        assert json.loads(json.dumps(cell, allow_nan=False)) == cell
 
 
 class TestNonFiniteEncoding:
     def test_non_finite_floats_are_tagged_like_the_service_codec(self):
         # Regression: +-inf/nan used to pass straight through and
         # serialize as the non-strict JSON literals Infinity/NaN.
-        import json
-        import math
-
         payload = encode_cell_value(
             {"ratio": math.inf, "neg": -math.inf, "nan": math.nan, "ok": 1.5}
         )
@@ -115,8 +45,6 @@ class TestNonFiniteEncoding:
         json.dumps(payload, allow_nan=False)  # strict JSON round-trips
 
     def test_decode_restores_the_floats(self):
-        import math
-
         decoded = decode_cell_value(
             encode_cell_value([math.inf, -math.inf, math.nan, 2.0])
         )
@@ -126,8 +54,6 @@ class TestNonFiniteEncoding:
         assert decoded[3] == 2.0
 
     def test_unit_cell_with_infinite_ratio_is_strict_json(self):
-        import json
-
         # opt_p / worst-eqC style ratios can hit +inf when the complete-
         # information denominator is 0; the measure bundle must still be
         # strict JSON.  Build one synthetically through encode.

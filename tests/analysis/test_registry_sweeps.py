@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import registry
 from repro.analysis.experiments import sweep_t1_directed_worsteq_existential
-from repro.runtime.executor import run_sweep
+from repro.runtime.executor import run_sweep, sweep_cells
 
 
 class TestResolveSweeps:
@@ -31,7 +31,7 @@ class TestResolveSweeps:
             registry.resolve_sweeps(["NOPE"])
 
     def test_run_accepts_spec_backed_id(self):
-        cells = registry.run("AUX-3.5")
+        cells = sweep_cells(registry.resolve_sweeps(["AUX-3.5"])[0])
         assert len(cells) == 1
         assert cells[0].experiment_id == "AUX-3.5"
 

@@ -1,21 +1,13 @@
-"""Table 1 harness and registry tests."""
+"""Table 1 harness tests."""
 
 import math
-
-import pytest
 
 from repro.analysis import (
     CellResult,
     SeriesPoint,
-    clear,
-    register,
-    registered_ids,
     render_markdown,
     render_series_block,
-    run,
-    run_all,
 )
-from repro.analysis import registry as registry_module
 
 
 def _linear_cell(experiment_id="T1-TEST"):
@@ -77,48 +69,3 @@ class TestRendering:
         text = render_series_block([_linear_cell()])
         assert "[T1-TEST]" in text
         assert "fit:" in text
-
-
-class TestRegistry:
-    def setup_method(self):
-        self._saved = dict(registry_module._REGISTRY)
-        clear()
-
-    def teardown_method(self):
-        clear()
-        registry_module._REGISTRY.update(self._saved)
-
-    def test_register_and_run(self):
-        @register("CELL-A")
-        def produce():
-            return [_linear_cell("CELL-A")]
-
-        assert registered_ids() == ["CELL-A"]
-        cells = run("CELL-A")
-        assert cells[0].experiment_id == "CELL-A"
-
-    def test_duplicate_rejected(self):
-        @register("CELL-B")
-        def produce():
-            return []
-
-        with pytest.raises(ValueError):
-            register("CELL-B")(lambda: [])
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            run("NOPE")
-
-    def test_run_all(self):
-        @register("CELL-1")
-        def one():
-            return [_linear_cell("CELL-1")]
-
-        @register("CELL-2")
-        def two():
-            return [_linear_cell("CELL-2")]
-
-        results = run_all()
-        assert [c.experiment_id for c in results] == ["CELL-1", "CELL-2"]
-        subset = run_all(["CELL-2"])
-        assert [c.experiment_id for c in subset] == ["CELL-2"]

@@ -9,7 +9,7 @@ engines instead of silently racing them.
 
 import pytest
 
-from repro.analysis.population import population_game
+from repro.analysis.census import population_game
 from repro.core.session import BatchSession, GameSession, query
 
 BUNDLE = [

@@ -7,7 +7,7 @@ rest of the bucket answers normally.  The profile sweep is one kernel
 for both (a single game is its one-lane case), so the sweep cases also
 check every lane against the reference engine (``opt_p``, the
 equilibrium extreme costs and the equilibrium list, errors included).  The populations come from
-``repro.analysis.population``: one same-shape family per bucket, with
+``repro.analysis.census.FAMILIES``: one same-shape family per bucket, with
 the tiny family deliberately containing members that have no pure Nash
 equilibrium in some state (the per-game ``eq_c`` raise).
 """
@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro._util import ExplosionError
-from repro.analysis.population import population_game
+from repro.analysis.census import population_game
 from repro.core import (
     bayesian_equilibrium_extreme_costs,
     engine_override,

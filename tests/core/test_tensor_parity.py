@@ -30,7 +30,7 @@ from repro.core import (
     opt_p,
     state_optimum,
 )
-from repro.analysis.population import population_game
+from repro.analysis.census import population_game
 from repro.core.tensor import (
     BatchTensorGame,
     StateTensor,

@@ -8,10 +8,8 @@ every backend, with dedup, caching, and non-batchable tasks unaffected.
 
 import pytest
 
-from repro.analysis.population import (
-    batch_population_cells,
-    unit_population_cell,
-)
+from repro.analysis import census
+from repro.analysis.census import batch_census_members, unit_census_member
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import (
     _execute_batch,
@@ -21,32 +19,38 @@ from repro.runtime.executor import (
 )
 from repro.runtime.spec import UnitTask
 
-POP_TASK = "repro.analysis.population:unit_population_cell"
+CENSUS_TASK = "repro.analysis.census:unit_census_member"
 BLISS_TASK = "repro.analysis.experiments:unit_anshelevich_bliss_ratio"
 
 MEASURES = "eq_c,opt_c,opt_p,ratio,ignorance_report"
 
 
-def pop_unit(member, measures=MEASURES):
+def census_unit(member, measures=MEASURES):
+    """One member of the tabular census cell (2 agents, types, actions
+    and support states): every member shares one SoA bucket."""
     return UnitTask(
-        task=POP_TASK,
+        task=CENSUS_TASK,
         params=(
-            ("family", "tiny-2x2x2s2"),
+            ("actions", 2),
+            ("agents", 2),
             ("measures", measures),
             ("member", member),
+            ("source", "tabular"),
+            ("states", 2),
+            ("types", 2),
         ),
     )
 
 
 def expected_values(units):
-    return [unit_population_cell(**unit.kwargs) for unit in units]
+    return [unit_census_member(**unit.kwargs) for unit in units]
 
 
 class TestRegistry:
-    def test_population_registers_its_runner_on_import(self):
+    def test_census_registers_its_runner_on_import(self):
         assert (
-            batch_runner_for(POP_TASK)
-            == "repro.analysis.population:batch_population_cells"
+            batch_runner_for(CENSUS_TASK)
+            == "repro.analysis.census:batch_census_members"
         )
 
     def test_unregistered_tasks_have_no_runner(self):
@@ -64,13 +68,13 @@ class TestRegistry:
 class TestBatchedRunUnits:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_all_backends_match_per_unit_values(self, backend):
-        units = [pop_unit(member) for member in range(9)]
+        units = [census_unit(member) for member in range(9)]
         results, stats = run_units(units, jobs=3, backend=backend)
         assert [r.value for r in results] == expected_values(units)
         assert stats.executed == 9
 
     def test_duplicates_still_deduplicate(self):
-        units = [pop_unit(0), pop_unit(1), pop_unit(0), pop_unit(1)]
+        units = [census_unit(0), census_unit(1), census_unit(0), census_unit(1)]
         results, stats = run_units(units, jobs=1)
         assert stats.unique_units == 2
         assert stats.deduplicated == 2
@@ -78,7 +82,7 @@ class TestBatchedRunUnits:
 
     def test_cache_roundtrip_and_interop_with_per_unit_entries(self, tmp_path):
         cache = ResultCache(root=tmp_path / "cache")
-        units = [pop_unit(member) for member in range(4)]
+        units = [census_unit(member) for member in range(4)]
         # Seed one unit's cache entry through the normal (non-batch)
         # path: batch execution must address the same cache slots.
         seeded, _ = run_units(units[:1], jobs=1, cache=cache)
@@ -93,25 +97,25 @@ class TestBatchedRunUnits:
 
     def test_mixed_batchable_and_plain_tasks(self):
         bliss = UnitTask(task=BLISS_TASK, params=(("k", 4),))
-        units = [pop_unit(0), bliss, pop_unit(1)]
+        units = [census_unit(0), bliss, census_unit(1)]
         results, stats = run_units(units, jobs=2, backend="thread")
         assert stats.executed == 3
-        assert results[0].value == unit_population_cell(**units[0].kwargs)
-        assert results[2].value == unit_population_cell(**units[2].kwargs)
+        assert results[0].value == unit_census_member(**units[0].kwargs)
+        assert results[2].value == unit_census_member(**units[2].kwargs)
         assert results[1].value == run_units([bliss], jobs=1)[0][0].value
 
     def test_mixed_measure_bundles_group_correctly(self):
         units = [
-            pop_unit(0),
-            pop_unit(0, measures="opt_c"),
-            pop_unit(1, measures="opt_c"),
-            pop_unit(1),
+            census_unit(0),
+            census_unit(0, measures="opt_c"),
+            census_unit(1, measures="opt_c"),
+            census_unit(1),
         ]
         results, _ = run_units(units, jobs=2)
         assert [r.value for r in results] == expected_values(units)
 
     def test_timings_are_attributed_to_every_unit(self):
-        units = [pop_unit(member) for member in range(4)]
+        units = [census_unit(member) for member in range(4)]
         results, stats = run_units(units, jobs=1)
         assert all(r.seconds >= 0.0 for r in results)
         assert stats.executed_seconds >= 0.0
@@ -120,22 +124,20 @@ class TestBatchedRunUnits:
 class TestBatchJobContract:
     def test_runner_row_count_mismatch_is_an_error(self):
         """A runner that loses rows must fail loudly, never misalign."""
-        import repro.analysis.population as population
-
-        rows = [dict(pop_unit(member).kwargs) for member in range(3)]
+        rows = [dict(census_unit(member).kwargs) for member in range(3)]
 
         def lossy(batch_rows):
-            return batch_population_cells(batch_rows)[:-1]
+            return batch_census_members(batch_rows)[:-1]
 
-        population.lossy_runner_for_test = lossy
+        census.lossy_runner_for_test = lossy
         try:
             with pytest.raises(RuntimeError, match="2 values for 3 unit"):
                 _execute_batch(
                     (
-                        "repro.analysis.population:lossy_runner_for_test",
+                        "repro.analysis.census:lossy_runner_for_test",
                         rows,
                         "auto",
                     )
                 )
         finally:
-            del population.lossy_runner_for_test
+            del census.lossy_runner_for_test

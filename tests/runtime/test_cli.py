@@ -251,6 +251,15 @@ class TestVersionAndExitCodes:
         assert main(["--help"]) == 0
         assert "serve" in capsys.readouterr().out
 
+    def test_failing_claim_returns_1(self, sandbox, capsys):
+        # One grid point cannot establish the claimed slope: exit 1.
+        args = [
+            "sweep", "T1-D-weq-E", "--set", "k=8", "--no-cache",
+            "--no-artifacts", "--jobs", "1",
+        ]
+        assert main(args) == 1
+        assert "FAILED claims" in capsys.readouterr().err
+
     def test_version_subprocess_exit_code(self, tmp_path):
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env = dict(os.environ)

@@ -480,6 +480,18 @@ class TestCollect:
         with pytest.raises(QueueError, match="2 of 3 unique unit task"):
             collect_queue([sweep], queue)
 
+    def test_collect_names_the_first_missing_unit(self, tmp_path):
+        queue = make_queue(tmp_path)
+        sweep = bliss_sweep((4, 8, 16))
+        queue.fill([sweep])
+        last = sweep.expand()[-1]
+        queue.mark_done(last.address(), 1.0, engine="auto")
+        with pytest.raises(QueueError) as caught:
+            collect_queue([sweep], queue)
+        message = str(caught.value)
+        assert "2 of 3 unique unit task(s) have no result row" in message
+        assert '(first: unit_anshelevich_bliss_ratio({"k": 4})' in message
+
     def test_collect_refuses_mixed_engines(self, tmp_path):
         queue = make_queue(tmp_path)
         sweep = bliss_sweep((4, 8))

@@ -292,6 +292,15 @@ class TestMergeParity:
         bad.write_text("{ truncated", encoding="utf-8")
         with pytest.raises(ValueError, match="corrupt shard manifest"):
             store.load_shard_manifests("AUX")
+        # Valid JSON of the wrong shape: not an object, or a unit entry
+        # without its value.  The merge names the manifest, no traceback.
+        valueless = shard_run.manifest()
+        del valueless["units"][0]["value"]
+        for shape in ([valueless], valueless):
+            bad.write_text(json.dumps(shape), encoding="utf-8")
+            manifests = store.load_shard_manifests("AUX")
+            with pytest.raises(ShardMergeError, match="shard manifest 2 of 2"):
+                merge_shards([sweep], manifests)
 
     def test_manifests_roundtrip_through_the_store(self, tmp_path):
         sweep = small_sweep()
@@ -419,6 +428,15 @@ class TestShardCLI:
         ) == 0
         assert main(["shard", "merge", "AUX-3.5"] + self.SET) == 2
         assert "missing" in capsys.readouterr().err
+
+    def test_malformed_manifest_merge_exits_2(self, sandbox, capsys):
+        assert main(
+            ["shard", "run", "AUX-3.5", "--shard", "1/2"] + self.SET
+        ) == 0
+        shards = sandbox / "results" / "AUX-3.5" / "shards"
+        (shards / "shard-2-of-2.json").write_text("[]", encoding="utf-8")
+        assert main(["shard", "merge", "AUX-3.5"] + self.SET) == 2
+        assert "shard merge failed" in capsys.readouterr().err
 
     def test_bad_shard_spec_is_a_usage_error(self, sandbox):
         # main() folds argparse's SystemExit into a plain exit code.

@@ -87,13 +87,15 @@ class TestHashing:
     def test_unit_key_depends_on_engine(self):
         unit = UnitTask(task=TASK, params=(("k", 2), ("seed", 0)))
         assert unit.key(engine="reference") != unit.key(engine="auto")
-        # ``tensor`` is an alias of ``auto`` with identical results.
-        assert unit.key(engine="tensor") == unit.key(engine="auto")
         # Bare key() uses the ambient engine.
         from repro.core import engine_override
 
         with engine_override("reference"):
             assert unit.key() == unit.key(engine="reference")
+        # The retired ``tensor`` alias of ``auto`` is an unknown engine.
+        with pytest.raises(ValueError, match="unknown engine"):
+            with engine_override("tensor"):
+                pass
 
     def test_unit_address_is_engine_free(self):
         """The shard scheduler's work-unit identity ignores the engine."""

@@ -9,7 +9,7 @@ endpoints' warm LRU entries in both directions.
 
 import pytest
 
-from repro.analysis.population import population_game
+from repro.analysis.census import population_game
 from repro.core.session import GameSession, query
 from repro.service.codec import coerce_spec, spec_to_wire
 
