@@ -39,6 +39,7 @@ from repro.core import (
 )
 from repro.core import tensor
 from repro.core.equilibrium import interim_best_response
+from repro.core.lazy import lower_game_lazy
 from repro.core.tensor import lower_game, maybe_lower
 from repro.runtime.artifacts import ArtifactStore
 
@@ -158,7 +159,7 @@ def measure_dynamics_speedup():
         ]
 
     def lazy_batch():
-        lowered = dynamics_game().lowered(mode="lazy")
+        lowered = lower_game_lazy(dynamics_game().game)
         assert lowered is not None and not lowered.pinned
         return [
             lowered.best_response_dynamics(initial, 10_000)
@@ -187,7 +188,7 @@ def measure_over_guard_targeted():
     """
     game = congestion_game(BIG_TYPES, BIG_ACTIONS)
     dense_refused = lower_game(game) is None
-    lazy = maybe_lower(game, mode="auto")
+    lazy = maybe_lower(game)
     is_lazy = lazy is not None and not lazy.pinned
 
     profile = tuple(
@@ -241,9 +242,7 @@ def measure_downscaled_parity():
             )
             for initial in initials
         ]
-    lazy = maybe_lower(
-        congestion_game(SMALL_TYPES, SMALL_ACTIONS), mode="lazy"
-    )
+    lazy = lower_game_lazy(congestion_game(SMALL_TYPES, SMALL_ACTIONS))
     lazied = [
         lazy.best_response_dynamics(initial, 10_000) for initial in initials
     ]

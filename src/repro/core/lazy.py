@@ -1,31 +1,16 @@
 """The LRU block store: tensor kernels for games too big to tabulate.
 
-:func:`repro.core.tensor.lower_game` refuses any game whose dense form
-would exceed :data:`~repro.core.tensor.TENSOR_MAX_CELLS` cost cells, and
-every such game historically fell back to the Python reference loop for
-*everything* — including best-response dynamics and targeted interim
-queries that only ever touch a handful of cells per step.  This module
-holds the one thing such games need on top of the shared kernel: a
-bounded home for their cost blocks.
-
-* :func:`lower_game_lazy` runs the same structural walk as the pinned
-  lowering (agent spaces, per-state feasible axes, digit strides, the
-  conditional posterior rows — no cost callback is ever invoked) and
-  returns a :class:`~repro.core.tensor.TensorGame` over an LRU
-  :class:`_BlockCache` instead of a list of pre-tabulated blocks.
-* A per-state :class:`~repro.core.tensor.StateTensor` block is tabulated
-  the first time a kernel touches the state — by the same walk, in the
-  same callback order as the pinned lowering — and lives in the cache
-  under an injectable cell budget.  Evicted blocks re-tabulate
-  transparently (correctness never depends on residency).
-
-Every kernel, including the restricted ``sweep_profiles`` used for
-targeted queries, is :class:`~repro.core.tensor.TensorGame`'s own, so a
-value is bit-identical whichever store served it.  Nothing here is
-called directly in normal use: :func:`repro.core.tensor.maybe_lower`
-with ``mode="auto"`` attaches this store when pinning every block would
-exceed the cell guard.  See ``docs/ENGINE.md`` ("One kernel, two block
-stores") for the cache contract and the dispatch table.
+A game whose dense form exceeds :data:`~repro.core.tensor.TENSOR_MAX_CELLS`
+cost cells is not pinned by :func:`repro.core.tensor.maybe_lower`; it
+gets a :class:`_BlockCache` instead, which tabulates a state's
+:class:`~repro.core.tensor.StateTensor` block the first time a kernel
+touches it (in the pinned store's callback order) and keeps blocks under
+an injectable cell budget.  Evicted blocks re-tabulate transparently, so
+correctness never depends on residency.  The structural walk and every
+kernel are :class:`~repro.core.tensor.TensorGame`'s own, so a value is
+bit-identical whichever store served it.  :func:`lower_game_lazy` forces
+this store, uncached.  See ``docs/ENGINE.md`` ("One kernel, two block
+stores") for the cache contract and the dispatch rule.
 """
 
 from __future__ import annotations
@@ -154,15 +139,13 @@ def lower_game_lazy(
     ``max_action_profiles`` refuses (a single block that large should not
     be materialized either) — but deliberately has **no** total-cell
     guard: bounding total resident cells is the block cache's job
-    (``cache_cells``, defaulting to :func:`default_cache_cells`).  Engine
-    selection is the caller's concern; go through
-    :func:`repro.core.tensor.maybe_lower` with ``mode="lazy"`` or
-    ``mode="auto"`` for the cached, engine-aware path.
+    (``cache_cells``, defaulting to :func:`default_cache_cells`).
+    Uncached and engine-blind; :func:`repro.core.tensor.maybe_lower` is
+    the cached, engine-aware path.
     """
     budget = default_cache_cells() if cache_cells is None else cache_cells
     return _lower(
         game,
         max_action_profiles,
-        float("inf"),
-        lambda tabulate, _n: _BlockCache(budget, tabulate),
+        lambda tabulate, _n, _cells: _BlockCache(budget, tabulate),
     )

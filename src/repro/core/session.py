@@ -159,7 +159,7 @@ class GameSession:
         The Bayesian game to serve queries over.
     engine:
         Evaluation engine for every call made through this session
-        (``auto`` / ``tensor`` / ``reference``).  Defaults to the
+        (``auto`` / ``reference``).  Defaults to the
         *effective engine at construction time* — the context-scoped
         override if one is active, else the process default — and stays
         pinned for the session's lifetime, so concurrent sessions on
@@ -238,9 +238,7 @@ class GameSession:
         if self._lowered_entry is None:
             with self._scope():
                 self._lowered_entry = (
-                    tensor.maybe_lower(
-                        self.game, self.max_action_profiles, mode="auto"
-                    ),
+                    tensor.maybe_lower(self.game, self.max_action_profiles),
                 )
         return self._lowered_entry[0]
 

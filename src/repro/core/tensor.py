@@ -37,12 +37,12 @@ reference path, which remains available as the parity oracle.
 
 One kernel, two block stores: every :class:`TensorGame` kernel reads a
 state's cost block through :meth:`TensorGame.state_block`, and the
-blocks come from one of two stores.  :func:`lower_game` *pins* them —
-every block tabulated at lowering, refused past
-:data:`TENSOR_MAX_CELLS` — while :func:`repro.core.lazy.lower_game_lazy`
-attaches a bounded LRU that tabulates a block the first time a kernel
-touches it.  Per-state geometry (shapes, strides, sizes) comes from the
-structural walk both share, so nothing structural ever needs a block.
+blocks come from one of two stores.  :func:`maybe_lower` makes the one
+choice: a game within :data:`TENSOR_MAX_CELLS` cells gets the *pinned*
+store (every block tabulated at lowering), a bigger one the bounded LRU
+of :mod:`repro.core.lazy`, which tabulates a block the first time a
+kernel touches it.  Per-state geometry (shapes, strides, sizes) comes
+from the one structural walk, so nothing structural ever needs a block.
 
 Engine selection: the ``REPRO_ENGINE`` environment variable chooses the
 default — ``"auto"`` (lower when possible) or ``"reference"`` (never
@@ -90,15 +90,8 @@ TENSOR_MAX_CELLS = 8_000_000
 BLOCK_CELLS = 1 << 21
 
 _LOWERED_ATTR = "_tensor_lowered"
-_LAZY_ATTR = "_tensor_lazy_lowered"
 _STATE_CACHE_ATTR = "_tensor_state_cache"
 _STATE_CACHE_LIMIT = 128
-
-#: Lowering modes accepted by :func:`maybe_lower`.  ``"full"`` is the
-#: dense tier only; ``"lazy"`` the on-demand tier only
-#: (:mod:`repro.core.lazy`); ``"auto"`` prefers dense and falls back to
-#: lazy when the dense form would exceed :data:`TENSOR_MAX_CELLS`.
-LOWER_MODES = ("auto", "full", "lazy")
 
 # ----------------------------------------------------------------------
 # engine selection
@@ -363,8 +356,8 @@ def maybe_state_tensor(
 ) -> Optional[StateTensor]:
     """Cached state lowering honoring the engine switch and guards.
 
-    Reuses the parent game's Bayesian lowering (either store) when the
-    state is a support state: a block's axes are exactly
+    Reuses the parent game's cached Bayesian lowering (either store)
+    when the state is a support state: a block's axes are exactly
     ``UnderlyingGame.actions`` (the state types' feasible lists), so the
     block *is* the state lowering.
     """
@@ -372,18 +365,14 @@ def maybe_state_tensor(
         return None
     parent = game.game
     profile = tuple(game.profile)
-    for attr in (_LOWERED_ATTR, _LAZY_ATTR):
-        entry = parent.__dict__.get(attr)
-        if entry is None or entry[0] is None:
-            continue
-        lowered = entry[0]
-        index = lowered.state_index.get(profile)
-        if index is not None:
-            # Size from geometry: an LRU store never tabulates a block
-            # the guard refuses.
-            if lowered.state_sizes[index] > max_profiles:
-                return None
-            return lowered.state_block(index)
+    lowered = parent.__dict__.get(_LOWERED_ATTR, (None,))[0]
+    index = None if lowered is None else lowered.state_index.get(profile)
+    if index is not None:
+        # Size from geometry: an LRU store never tabulates a block the
+        # guard refuses.
+        if lowered.state_sizes[index] > max_profiles:
+            return None
+        return lowered.state_block(index)
     cache: Dict[Tuple, StateTensor] = parent.__dict__.setdefault(
         _STATE_CACHE_ATTR, {}
     )
@@ -561,11 +550,11 @@ class TensorGame:
     """A :class:`BayesianGame` lowered to index-encoded NumPy form.
 
     Every kernel reads a state's cost block through :meth:`state_block`;
-    ``store`` decides where the blocks live.  A ``list`` is the *pinned*
-    store (:func:`lower_game`: every block tabulated at lowering); a
-    :class:`repro.core.lazy._BlockCache` is the *LRU* store
-    (:func:`repro.core.lazy.lower_game_lazy`: a block is tabulated the
-    first time a kernel touches it and may be evicted afterwards).  Both
+    ``store`` decides where the blocks live (:func:`maybe_lower` picks
+    it).  A ``list`` is the *pinned* store: every block tabulated at
+    lowering.  A :class:`repro.core.lazy._BlockCache` is the *LRU* store:
+    a block is tabulated the first time a kernel touches it and may be
+    evicted afterwards.  Both
     index as ``store[s]``, and a re-tabulated block is bit-identical to
     the evicted one, so no kernel result depends on the store.
     """
@@ -1517,19 +1506,18 @@ class BatchTensorGame:
 def _lower(
     game: BayesianGame,
     max_action_profiles: int,
-    max_cells: float,
     make_store,
 ) -> Optional[TensorGame]:
-    """The structural walk both block stores share.
+    """The structural walk every lowering shares.
 
     Builds the support states, their probabilities, the agents'
     mixed-radix spaces and every state's feasible axes without calling
     ``game.cost``.  Refuses (``None``) when a state's feasible product
-    exceeds ``max_action_profiles`` or the running cell total exceeds
-    ``max_cells``; otherwise ``make_store(tabulate, num_states)`` builds
-    the store, where ``tabulate(s)`` is state ``s``'s
-    :class:`StateTensor` (one ``game.cost`` call per (agent, cell), in
-    the reference enumeration order).
+    exceeds ``max_action_profiles``; otherwise the walk finishes and
+    ``make_store(tabulate, num_states, total_cells)`` builds the store,
+    where ``tabulate(s)`` is state ``s``'s :class:`StateTensor` (one
+    ``game.cost`` call per (agent, cell), in the reference enumeration
+    order).  A ``None`` store refuses too.
     """
     support = game.prior.support()
     states = [tuple(profile) for profile, _ in support]
@@ -1550,8 +1538,6 @@ def _lower(
         if size > max_action_profiles:
             return None
         total_cells += size * k
-        if total_cells > max_cells:
-            return None
         state_spaces.append(spaces)
 
     def tabulate(s: int) -> StateTensor:
@@ -1563,8 +1549,25 @@ def _lower(
             ),
         )
 
-    store = make_store(tabulate, len(states))
+    store = make_store(tabulate, len(states), total_cells)
+    if store is None:
+        return None
     return TensorGame(game, states, probs, agents, state_spaces, store)
+
+
+def _pinned_store(tabulate, num_states: int, total_cells: float):
+    """Every block tabulated now; ``None`` past :data:`TENSOR_MAX_CELLS`."""
+    if total_cells <= TENSOR_MAX_CELLS:
+        return [tabulate(s) for s in range(num_states)]
+    return None
+
+
+def _fitting_store(tabulate, num_states: int, total_cells: float):
+    """The pinned store within the cell guard, the LRU store past it."""
+    from .lazy import _BlockCache, default_cache_cells  # breaks the cycle
+
+    store = _pinned_store(tabulate, num_states, total_cells)
+    return _BlockCache(default_cache_cells(), tabulate) if store is None else store
 
 
 def lower_game(
@@ -1576,79 +1579,50 @@ def lower_game(
     Every state's block is tabulated here.  Refuses (returning ``None``,
     so callers fall back to the reference path) when any support state's
     feasible action product exceeds ``max_action_profiles`` or the dense
-    form would exceed :data:`TENSOR_MAX_CELLS` cells.
+    form would exceed :data:`TENSOR_MAX_CELLS` cells.  Uncached; the
+    cached, engine-aware path is :func:`maybe_lower`.
     """
-    return _lower(
-        game,
-        max_action_profiles,
-        TENSOR_MAX_CELLS,
-        lambda tabulate, n: [tabulate(s) for s in range(n)],
-    )
+    return _lower(game, max_action_profiles, _pinned_store)
 
 
 def maybe_lower(
     game: BayesianGame,
     max_action_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
-    mode: str = "auto",
-):
-    """Cached lowering honoring the engine switch, guards, and ``mode``.
+) -> Optional[TensorGame]:
+    """Cached lowering honoring the engine switch and guards.
 
-    The mode only picks the block store of the returned
-    :class:`TensorGame`.  ``mode="full"`` is the historical behavior: a
-    pinned lowering (:func:`lower_game`) or ``None``.  ``mode="lazy"``
-    compiles only the LRU store (:func:`repro.core.lazy.lower_game_lazy`)
-    or ``None``.  ``mode="auto"`` prefers pinned and falls back to LRU
-    exactly where pinning refuses on the :data:`TENSOR_MAX_CELLS` guard
-    (the per-state ``max_action_profiles`` guard refuses both stores).
-    Each store caches its result — including the refusal — on the game
-    object; :func:`drop_lowering` releases both.
+    The one place that decides whether ``game`` lowers and onto which
+    block store.  One structural walk counts the cells: the pinned store
+    is used within :data:`TENSOR_MAX_CELLS`, the LRU
+    :class:`~repro.core.lazy._BlockCache` past it.  Only the per-state
+    ``max_action_profiles`` guard refuses (``None``).  The result, a
+    refusal included, lives in one slot on the game object: a cached
+    lowering serves any guard that admits its largest state, a cached
+    refusal any guard no looser than the one that refused.
+    :func:`drop_lowering` releases it.
     """
-    if mode not in LOWER_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {LOWER_MODES}")
     if not tensor_enabled():
         return None
-    if mode != "lazy":
-        entry = game.__dict__.get(_LOWERED_ATTR)
-        if entry is not None:
-            cached, built_guard = entry
-            if cached is not None:
-                if cached.max_state_size <= max_action_profiles:
-                    return cached
-            elif max_action_profiles > built_guard:
-                entry = None
-        if entry is None:
-            lowered = lower_game(game, max_action_profiles)
-            game.__dict__[_LOWERED_ATTR] = (lowered, max_action_profiles)
-            if lowered is not None:
-                return lowered
-        if mode == "full":
-            return None
-    # LRU store (mode in {"auto", "lazy"}); local import breaks the cycle.
-    from .lazy import lower_game_lazy
-
-    entry = game.__dict__.get(_LAZY_ATTR)
+    entry = game.__dict__.get(_LOWERED_ATTR)
     if entry is not None:
-        lazy, built_guard = entry
-        if lazy is not None:
-            if lazy.max_state_size <= max_action_profiles:
-                return lazy
-            return None
+        cached, built_guard = entry
+        if cached is not None:
+            return cached if cached.max_state_size <= max_action_profiles else None
         if max_action_profiles <= built_guard:
             return None
-    lazy = lower_game_lazy(game, max_action_profiles)
-    game.__dict__[_LAZY_ATTR] = (lazy, max_action_profiles)
-    return lazy
+    lowered = _lower(game, max_action_profiles, _fitting_store)
+    game.__dict__[_LOWERED_ATTR] = (lowered, max_action_profiles)
+    return lowered
 
 
 def drop_lowering(game: BayesianGame) -> None:
     """Release every lowered form cached on ``game``.
 
-    Clears the pinned and LRU Bayesian lowerings (including cached
-    refusals) and the per-state :class:`StateTensor` cache.  The next
+    Clears the cached Bayesian lowering (either store, or a cached
+    refusal) and the per-state :class:`StateTensor` cache.  The next
     lowering request simply recompiles; nothing about the game itself
     changes.  The service registry calls this on LRU eviction so evicted
     sessions actually free their tensors.
     """
     game.__dict__.pop(_LOWERED_ATTR, None)
-    game.__dict__.pop(_LAZY_ATTR, None)
     game.__dict__.pop(_STATE_CACHE_ATTR, None)

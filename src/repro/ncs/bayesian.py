@@ -113,26 +113,23 @@ class BayesianNCSGame:
     # ------------------------------------------------------------------
     # delegation and views
     # ------------------------------------------------------------------
-    def lowered(self, mode: str = "auto"):
+    def lowered(self):
         """A lowered (index-encoded) form of the wrapped core game.
 
-        Cached on the core game; ``None`` when the game exceeds the
-        lowering guards or the reference engine is forced.  With the
-        default ``mode="auto"``, games too big for the dense cell guard
-        come back over the LRU block store
-        (:func:`repro.core.lazy.lower_game_lazy`), whose Dijkstra-backed
+        Cached on the core game by :func:`repro.core.tensor.maybe_lower`;
+        ``None`` when a state exceeds the per-state guard or the
+        reference engine is forced.  Games too big for the dense cell
+        guard come back over the LRU block store, whose Dijkstra-backed
         per-state cost blocks are tabulated the first time a kernel
-        touches each state; ``mode="full"`` restores the historical
-        pinned-or-``None`` behavior, ``mode="lazy"`` requests only the
-        LRU store.
+        touches each state.
         """
         from ..core import tensor
 
-        return tensor.maybe_lower(self.game, mode=mode)
+        return tensor.maybe_lower(self.game)
 
     def drop_lowering(self) -> None:
         """Release every lowered form cached on the wrapped core game
-        (dense, lazy, and per-state tensors); see
+        (the Bayesian lowering and per-state tensors); see
         :func:`repro.core.tensor.drop_lowering`."""
         from ..core import tensor
 
@@ -274,12 +271,12 @@ class BayesianNCSGame:
         — the same fixed-point semantics over the cataloged simple-path
         actions, but without per-step Dijkstra runs or Python cost
         callbacks.  Games too big for the dense cell guard get the LRU
-        block store (:func:`repro.core.lazy.lower_game_lazy`): the same
-        kernel, per-state cost blocks tabulated on first touch and held
-        in a bounded LRU.  The Dijkstra sweep below remains the path for games
-        beyond even the per-state guard (and the reference when
-        ``REPRO_ENGINE=reference`` is pinned); on exact-tie steps the two
-        paths may select different — equally cheap — equilibria.
+        block store: the same kernel, per-state cost blocks tabulated on
+        first touch and held in a bounded LRU.  The Dijkstra sweep below
+        remains the path for games beyond even the per-state guard (and
+        the reference when ``REPRO_ENGINE=reference`` is pinned); on
+        exact-tie steps the two paths may select different — equally
+        cheap — equilibria.
         """
         strategies = initial if initial is not None else self.greedy_profile()
         lowered = self.lowered()

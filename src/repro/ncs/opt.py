@@ -61,9 +61,9 @@ def benevolent_descent(
     keep-current-on-ties fold below is replayed unchanged over that
     vector, so both paths descend through the identical profile sequence.
     Games beyond the dense cell guard descend on the same kernels over
-    the LRU block store (:func:`repro.core.lazy.lower_game_lazy`: blocks
-    tabulated on demand); only games beyond the per-state guard
-    fall back to the per-candidate ``social_cost`` loop.
+    the LRU block store (blocks tabulated on demand); only games beyond
+    the per-state guard fall back to the per-candidate ``social_cost``
+    loop.
     """
     strategies = initial if initial is not None else game.greedy_profile()
     core = game.game

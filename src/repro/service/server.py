@@ -269,13 +269,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _parse_queries(items: Any) -> list:
+        def params(item: Dict[str, Any]) -> Dict[str, Any]:
+            value = item.get("params")
+            if value is not None and not isinstance(value, dict):
+                raise TypeError(f"query params must be an object, got {value!r}")
+            return value or {}
+
         try:
             return [
                 query(
                     str(item["measure"]),
                     **{
                         str(name): decode_result(value)
-                        for name, value in (item.get("params") or {}).items()
+                        for name, value in params(item).items()
                     },
                 )
                 for item in items
@@ -383,7 +389,7 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "bad-request", f"malformed initial profile: {error!r}"
             ) from None
         max_rounds = payload.get("max_rounds", 10_000)
-        if not isinstance(max_rounds, int) or max_rounds < 1:
+        if type(max_rounds) is not int or max_rounds < 1:  # bool is an int
             raise RequestError(
                 400, "bad-request", f"max_rounds must be a positive int, "
                 f"got {max_rounds!r}"

@@ -107,10 +107,10 @@ class TestUnitEngineSelection:
         from repro.core import tensor
 
         lowerings = []
-        real_lower = tensor.lower_game
+        real_lower = tensor._lower  # the structural walk every lowering runs
         monkeypatch.setattr(
             tensor,
-            "lower_game",
+            "_lower",
             lambda *args, **kwargs: (
                 lowerings.append(1),
                 real_lower(*args, **kwargs),

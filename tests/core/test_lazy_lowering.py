@@ -3,7 +3,7 @@
 The engine-fuzz suite (``tests/engine_fuzz/test_lazy_fuzz.py``) owns the
 randomized three-way value-parity battery; this file pins down the
 *contract*: block-cache accounting and eviction, the ``lower_game_lazy``
-guards, ``maybe_lower`` mode semantics and per-store caching,
+guards, ``maybe_lower``'s store choice and its single cache slot,
 ``drop_lowering`` across every owner (game, session, NCS wrapper,
 service registry), restricted sweeps on both stores against brute-force
 enumeration, and the acceptance path — a game whose full tabulation
@@ -38,7 +38,6 @@ from repro.core import tensor
 from repro.core.equilibrium import is_bayesian_equilibrium
 from repro.core.lazy import _BlockCache, default_cache_cells
 from repro.core.tensor import (
-    _LAZY_ATTR,
     _LOWERED_ATTR,
     StateTensor,
     TensorGame,
@@ -91,6 +90,15 @@ def _cache(budget: int) -> _BlockCache:
 
 def _is_lru(lowered) -> bool:
     return isinstance(lowered, TensorGame) and not lowered.pinned
+
+
+def _tensor_attrs(game: BayesianGame) -> list:
+    """The tensor-engine caches held on ``game``'s instance dict."""
+    return sorted(name for name in vars(game) if name.startswith("_tensor_"))
+
+
+def _no_walk(*args, **kwargs):
+    raise AssertionError("maybe_lower re-walked a game it had cached")
 
 
 # ----------------------------------------------------------------------
@@ -242,70 +250,90 @@ class TestLowerGameLazy:
 
 
 # ----------------------------------------------------------------------
-# maybe_lower modes, caching, and drop_lowering
+# maybe_lower: one store decision, one cache slot, and drop_lowering
 # ----------------------------------------------------------------------
 
 class TestMaybeLowerModes:
-    def test_invalid_mode_raises(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            maybe_lower(skew_game(), mode="eager")
+    """``maybe_lower`` picks the store from one structural walk and keeps
+    its result, a refusal included, in the single ``_LOWERED_ATTR`` slot."""
 
     def test_reference_engine_forces_none(self):
         game = skew_game()
         with engine_override("reference"):
-            assert maybe_lower(game, mode="auto") is None
-            assert maybe_lower(game, mode="lazy") is None
-
-    def test_full_mode_is_dense_or_none(self, monkeypatch):
-        game = skew_game()
-        assert maybe_lower(game, mode="full").pinned
-        assert maybe_lower(game, mode="full").cache_stats() is None
-        monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
-        assert maybe_lower(skew_game(), mode="full") is None
+            assert maybe_lower(game) is None
+        assert _tensor_attrs(game) == []
 
     def test_auto_prefers_dense_then_falls_to_lazy(self, monkeypatch):
         game = skew_game()
-        assert maybe_lower(game, mode="auto").pinned
+        dense = maybe_lower(game)
+        assert dense.pinned and dense.cache_stats() is None
+        assert _tensor_attrs(game) == [_LOWERED_ATTR]
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         big = skew_game()
-        lowered = maybe_lower(big, mode="auto")
+        lowered = maybe_lower(big)
         assert _is_lru(lowered)
-        # Both tiers cached on the game object: dense refusal + lazy hit.
-        assert big.__dict__[_LOWERED_ATTR][0] is None
-        assert big.__dict__[_LAZY_ATTR][0] is lowered
-        assert maybe_lower(big, mode="auto") is lowered
+        assert lowered.store.budget == default_cache_cells()
+        # One slot holds the LRU lowering; no refusal is cached beside it.
+        assert _tensor_attrs(big) == [_LOWERED_ATTR]
+        assert big.__dict__[_LOWERED_ATTR][0] is lowered
+        assert maybe_lower(big) is lowered
 
-    def test_lazy_mode_skips_the_dense_tier(self):
-        game = skew_game()
-        lowered = maybe_lower(game, mode="lazy")
-        assert _is_lru(lowered)
-        assert _LOWERED_ATTR not in game.__dict__
-        assert maybe_lower(game, mode="lazy") is lowered
+    def test_one_walk_past_the_cell_guard(self, monkeypatch):
+        from repro.core import lazy
 
-    def test_per_state_guard_refuses_both_tiers(self):
+        calls = []
+        real = tensor._lower
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "_lower", counting)
+        monkeypatch.setattr(lazy, "_lower", counting)
+        monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = skew_game()
-        assert maybe_lower(game, max_action_profiles=8, mode="auto") is None
-        # The refusal itself is cached per tier.
+        assert _is_lru(maybe_lower(game))
+        assert len(calls) == 1
+        maybe_lower(game)
+        assert len(calls) == 1  # served from the slot
+
+    def test_cached_lowering_answers_a_stricter_guard_without_a_walk(
+        self, monkeypatch
+    ):
+        game = skew_game()
+        lowered = maybe_lower(game)
+        entry = game.__dict__[_LOWERED_ATTR]
+        monkeypatch.setattr(tensor, "_lower", _no_walk)
+        assert lowered.max_state_size == 9
+        assert maybe_lower(game, max_action_profiles=8) is None
+        assert game.__dict__[_LOWERED_ATTR] is entry  # nothing written
+        assert maybe_lower(game, max_action_profiles=9) is lowered
+
+    def test_per_state_guard_refuses_both_tiers(self, monkeypatch):
+        game = skew_game()
+        assert maybe_lower(game, max_action_profiles=8) is None
+        # The refusal itself is cached, in the one slot.
         assert game.__dict__[_LOWERED_ATTR] == (None, 8)
-        assert game.__dict__[_LAZY_ATTR] == (None, 8)
-        assert maybe_lower(game, max_action_profiles=8, mode="auto") is None
+        assert _tensor_attrs(game) == [_LOWERED_ATTR]
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "_lower", _no_walk)
+            assert maybe_lower(game, max_action_profiles=8) is None
+            assert maybe_lower(game, max_action_profiles=4) is None
         # A looser guard invalidates the cached refusal.
-        assert maybe_lower(game, mode="auto").pinned
+        assert maybe_lower(game).pinned
 
     def test_drop_lowering_releases_every_cached_form(self):
         game = skew_game()
-        dense = maybe_lower(game, mode="full")
-        lazy = maybe_lower(game, mode="lazy")
-        assert dense is not None and lazy is not None
+        lowered = maybe_lower(game)
+        assert lowered is not None
         tensor.drop_lowering(game)
-        assert _LOWERED_ATTR not in game.__dict__
-        assert _LAZY_ATTR not in game.__dict__
-        assert maybe_lower(game, mode="lazy") is not lazy  # recompiled
+        assert _tensor_attrs(game) == []
+        assert maybe_lower(game) is not lowered  # recompiled
 
     def test_maybe_state_tensor_reuses_lazy_blocks(self, monkeypatch):
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = skew_game()
-        lazy = maybe_lower(game, mode="auto")
+        lazy = maybe_lower(game)
         assert _is_lru(lazy)
         state = game.prior.support()[0][0]
         underlying = game.underlying_game(state)
@@ -313,15 +341,18 @@ class TestMaybeLowerModes:
         assert block is lazy.state_block(lazy.state_index[tuple(state)])
         # Per-call guard below the block size: refuse, don't materialize.
         assert maybe_state_tensor(underlying, max_profiles=1) is None
+        assert _tensor_attrs(game) == [_LOWERED_ATTR]
 
     def test_maybe_state_tensor_reuses_pinned_blocks(self):
         game = skew_game()
-        dense = maybe_lower(game, mode="full")
+        dense = maybe_lower(game)
+        assert dense.pinned
         state = game.prior.support()[1][0]
         underlying = game.underlying_game(state)
         block = maybe_state_tensor(underlying)
         assert block is dense.state_block(dense.state_index[tuple(state)])
         assert maybe_state_tensor(underlying, max_profiles=1) is None
+        assert _tensor_attrs(game) == [_LOWERED_ATTR]
 
 
 # ----------------------------------------------------------------------
@@ -585,8 +616,7 @@ class TestSessionLazyDispatch:
         assert entry0.session._kernel() is not None
         entry1, _ = registry.submit(spec_for_seed(1))
         assert entry0.game_hash not in registry
-        assert _LOWERED_ATTR not in entry0.session.game.__dict__
-        assert _LAZY_ATTR not in entry0.session.game.__dict__
+        assert _tensor_attrs(entry0.session.game) == []
         assert entry1.game_hash in registry
         assert registry.clear() == 1
 
@@ -602,12 +632,14 @@ class TestNCSLazyTier:
         game, _, _ = maybe_active_partner_game()
         return game
 
-    def test_lowered_mode_and_drop(self):
+    def test_lowered_mode_and_drop(self, monkeypatch):
+        monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = self._game()
-        lazy = game.lowered(mode="lazy")
+        lazy = game.lowered()
         assert _is_lru(lazy)
+        assert game.lowered() is lazy
         game.drop_lowering()
-        assert _LAZY_ATTR not in game.game.__dict__
+        assert _tensor_attrs(game.game) == []
 
     def test_benevolent_descent_parity_on_the_lazy_tier(self, monkeypatch):
         from repro.ncs.opt import benevolent_descent

@@ -39,7 +39,7 @@ from repro.core.tensor import (
     maybe_state_tensor,
 )
 from repro.core.strategy import DEFAULT_MAX_PROFILES
-from repro._util import ExplosionError
+from repro._util import TOLERANCE, ExplosionError, lt
 
 from canonical_games import (
     coordination_game,
@@ -166,6 +166,27 @@ class TestLtArray:
         a = np.array([1.0, 1.0, 1.0, inf, 1.0, inf])
         b = np.array([2.0, 1.0 + 1e-12, 1.0 + 1.0, inf, inf, 1.0])
         assert lt_array(a, b).tolist() == [True, False, True, False, True, False]
+
+    def test_agrees_with_scalar_lt_elementwise(self):
+        """The pinned store's equilibrium tables use ``lt_array`` while the
+        reference loop uses the scalar ``lt``: exact parity needs the two
+        to agree on every pair, above all at the tolerance boundary."""
+        pairs = []
+        for base in [0.0, 1.0, -1.0, 0.5, -0.5, 2.5, -7.25, 1e-9, 1e3, -1e3, 1e12]:
+            scale = max(1.0, abs(base))
+            for sign in (1.0, -1.0):
+                edge = base + sign * TOLERANCE * scale
+                for other in (
+                    edge, np.nextafter(edge, -math.inf), np.nextafter(edge, math.inf)
+                ):
+                    pairs += [(other, base), (base, other)]
+        special = [math.inf, -math.inf, math.nan, 0.0, 1.0, -2.0]
+        pairs += [(x, y) for x in special for y in special]
+        a = np.array([x for x, _ in pairs])
+        b = np.array([y for _, y in pairs])
+        assert lt_array(a, b).tolist() == [lt(float(x), float(y)) for x, y in pairs]
+        # The boundary cases are not vacuous: both outcomes occur at them.
+        assert {lt(float(x), float(y)) for x, y in pairs[:12]} == {True, False}
 
 
 class TestBayesianParity:

@@ -118,6 +118,15 @@ class TestBatchEvaluate:
             server, "POST", "/v1/batch/evaluate", {"games": []}
         )
         assert status == 400
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {
+                "games": [{"game": spec_to_wire(coerce_spec(_games(1)[0]))}],
+                "queries": [{"measure": "opt_p", "params": 5}],
+            },
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
 
     def test_error_slots_carry_hashes_and_codes(self, server, client):
         games = _games(10)

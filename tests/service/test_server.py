@@ -153,20 +153,36 @@ class TestErrorBodies:
 
     def test_bad_query_bundle_400(self, server, client):
         game_key = client.submit(spec_for_seed(0))
-        status, body = raw_request(
-            server,
-            "POST",
-            f"/v1/games/{game_key}/evaluate",
-            {"queries": [{"params": {}}]},  # no "measure"
-        )
-        assert status == 400
-        assert body["error"]["code"] == "bad-request"
+        bundles = [
+            [{"params": {}}],  # no "measure"
+            # params present, not null and not an object
+            [{"measure": "opt_p", "params": [1]}],
+            [{"measure": "opt_p", "params": "x"}],
+            [{"measure": "opt_p", "params": 5}],
+        ]
+        for queries in bundles:
+            status, body = raw_request(
+                server,
+                "POST",
+                f"/v1/games/{game_key}/evaluate",
+                {"queries": queries},
+            )
+            assert status == 400, queries
+            assert body["error"]["code"] == "bad-request"
+            assert "malformed query bundle" in body["error"]["message"]
 
     def test_bad_max_rounds_400(self, server, client):
         game_key = client.submit(spec_for_seed(0))
         with pytest.raises(RemoteServiceError) as excinfo:
             client.dynamics(game_key, max_rounds=0)
         assert excinfo.value.status == 400
+        # A JSON bool is a Python int; it must not pass as one round.
+        status, body = raw_request(
+            server, "POST", f"/v1/games/{game_key}/dynamics", {"max_rounds": True}
+        )
+        assert status == 400
+        assert body["error"]["code"] == "bad-request"
+        assert "max_rounds must be a positive int" in body["error"]["message"]
 
     def test_unknown_measure_reraises_value_error(self, client):
         game_key = client.submit(spec_for_seed(0))
