@@ -105,6 +105,24 @@ MEASURES: Dict[str, Tuple[bool, bool, bool]] = {
 }
 
 
+def _requirements(queries: Iterable[Query]) -> Tuple[bool, bool, bool]:
+    """The bundle's union of :data:`MEASURES` requirements: ``(sweep
+    needed, equilibrium check needed, equilibrium set needed)``."""
+    need_sweep = need_eq = collect = False
+    for item in queries:
+        try:
+            sweep, eq, col = MEASURES[item.measure]
+        except KeyError:
+            raise ValueError(
+                f"unknown measure {item.measure!r}; "
+                f"expected one of {sorted(MEASURES)}"
+            ) from None
+        need_sweep = need_sweep or sweep
+        need_eq = need_eq or eq
+        collect = collect or col
+    return need_sweep, need_eq, collect
+
+
 def _component(pair: Tuple[float, float], kind: str, what: str):
     if kind == "both":
         return pair
@@ -477,26 +495,22 @@ class GameSession:
         return self._memoized(("nash_extremes", profile), compute)
 
     def opt_c(self) -> float:
-        """``optC = E_t[min_a K_t(a)]`` (session plugin or enumeration)."""
+        """``optC = E_t[min_a K_t(a)]``: the lowering's fold when the game
+        lowers and no session plugin is installed, else the plugin (or
+        the per-state enumeration) under the prior.  The two folds run
+        the same support in the same order, so they agree bit for bit."""
 
         def compute() -> float:
-            solver = self.state_solver or self.state_optimum
             with self._scope():
-                return self.game.prior.expect(solver)
+                if self.state_solver is None:
+                    lowered = self._kernel()
+                    if lowered is not None:
+                        return lowered.opt_c()
+                return self.game.prior.expect(
+                    self.state_solver or self.state_optimum
+                )
 
         return self._memoized(("opt_c",), compute)
-
-    def _lowered_opt_c(self) -> float:
-        """``optC`` via the lowered per-state tables (the tensor report
-        path; bit-identical to :meth:`opt_c` on lowerable games)."""
-
-        def compute() -> float:
-            lowered = self._kernel()
-            assert lowered is not None
-            with self._scope():
-                return lowered.opt_c()
-
-        return self._memoized(("opt_c_lowered",), compute)
 
     def eq_c(self) -> Tuple[float, float]:
         """``(best-eqC, worst-eqC)``: expected extreme Nash costs."""
@@ -525,15 +539,11 @@ class GameSession:
 
         best_p, worst_p = self.equilibrium_extreme_costs()
         best_c, worst_c = self.eq_c()
-        if self._kernel() is not None and self.state_solver is None:
-            opt_c_value = self._lowered_opt_c()
-        else:
-            opt_c_value = self.opt_c()
         report = IgnoranceReport(
             opt_p=self.opt_p(),
             best_eq_p=best_p,
             worst_eq_p=worst_p,
-            opt_c=opt_c_value,
+            opt_c=self.opt_c(),
             best_eq_c=best_c,
             worst_eq_c=worst_c,
             name=self.game.name,
@@ -629,20 +639,7 @@ class GameSession:
         memoized here and re-raised by exactly the queries whose free
         function would raise them.
         """
-        need_sweep = False
-        need_eq = False
-        collect = False
-        for item in queries:
-            try:
-                sweep, eq, col = MEASURES[item.measure]
-            except KeyError:
-                raise ValueError(
-                    f"unknown measure {item.measure!r}; "
-                    f"expected one of {sorted(MEASURES)}"
-                ) from None
-            need_sweep = need_sweep or sweep
-            need_eq = need_eq or eq
-            collect = collect or col
+        need_sweep, need_eq, collect = _requirements(queries)
         if not need_sweep:
             return
         try:
@@ -843,17 +840,11 @@ class BatchSession:
     def _batch_dispatch(
         self, normalized: Sequence[Query]
     ) -> Dict[Tuple[int, Query], Tuple[str, Any]]:
-        need_sweep = need_eq = collect = False
-        measures = set()
-        for item in normalized:
-            entry = MEASURES.get(item.measure)
-            if entry is None:
-                return {}  # the per-game planner raises the right error
-            measures.add(item.measure)
-            sweep, eq, col = entry
-            need_sweep = need_sweep or sweep
-            need_eq = need_eq or eq
-            collect = collect or col
+        try:
+            need_sweep, need_eq, collect = _requirements(normalized)
+        except ValueError:
+            return {}  # the per-game planner raises it for every row
+        measures = {item.measure for item in normalized}
         extras: Dict[Tuple[int, Query], Tuple[str, Any]] = {}
         buckets, _fallback = self._buckets()
         for (max_profiles, _signature), indices in buckets.items():
@@ -941,26 +932,18 @@ class BatchSession:
                 pairs, errors = batch.eq_c(subset=todo)
                 for position, pair, error in zip(todo, pairs, errors):
                     self._fill(sessions[position], "memo", ("eq_c",), pair, error)
-        if measures & {"opt_c", "ignorance_report", "ratio", "state_optimum"}:
+        if "state_optimum" in measures:
             optima = batch.state_optima()
+            for position, session in enumerate(sessions):
+                for s, profile in enumerate(session.lowered().states):
+                    value = float(optima[position, s])
+                    self._fill(session, "memo", ("state_opt", profile), value, None)
+        if measures & {"opt_c", "ignorance_report", "ratio"}:
             totals = batch.opt_c()
             for position, session in enumerate(sessions):
-                states = session.lowered().states
-                with session.lock:
-                    for s, profile in enumerate(states):
-                        memo_key = ("state_opt", profile)
-                        if memo_key not in session._memo:
-                            session._memo[memo_key] = (
-                                "ok", float(optima[position, s]),
-                            )
-                    if (
-                        session.state_solver is None
-                        and measures & {"ignorance_report", "ratio"}
-                        and ("opt_c_lowered",) not in session._memo
-                    ):
-                        session._memo[("opt_c_lowered",)] = (
-                            "ok", float(totals[position]),
-                        )
+                if session.state_solver is None:
+                    value = float(totals[position])
+                    self._fill(session, "memo", ("opt_c",), value, None)
         if "dynamics" in measures:
             self._run_bucket_dynamics(indices, sessions, batch, normalized, extras)
 

@@ -685,70 +685,13 @@ class TensorGame:
         return self._eq_tables
 
     # ------------------------------------------------------------------
-    # the blocked (optionally restricted) profile sweep
+    # the blocked profile sweep
     # ------------------------------------------------------------------
-    def _restricted_axes(
-        self, restrict
-    ) -> Optional[List[List[np.ndarray]]]:
-        """Validated per (agent, position) allowed-digit arrays.
-
-        ``restrict`` is ``None`` (whole space) or a length-``k`` sequence
-        whose entry ``i`` is ``None`` (agent unrestricted) or a
-        per-position sequence of ``None`` (position unrestricted) /
-        iterables of digit positions into that position's choice list.
-        Returns ``None`` when nothing is actually restricted, so the
-        sweep takes the whole-space path.
-        """
-        if restrict is None:
-            return None
-        if len(restrict) != self.num_agents:
-            raise ValueError(
-                f"restrict must cover all {self.num_agents} agents, "
-                f"got {len(restrict)} entries"
-            )
-        axes: List[List[np.ndarray]] = []
-        any_restricted = False
-        for i, agent in enumerate(self.agents):
-            spec = restrict[i]
-            if spec is not None and len(spec) != len(agent.radix):
-                raise ValueError(
-                    f"agent {i}: restrict row must cover all "
-                    f"{len(agent.radix)} type positions, got {len(spec)}"
-                )
-            rows: List[np.ndarray] = []
-            for p, n in enumerate(agent.radix):
-                allowed = None if spec is None else spec[p]
-                if allowed is None:
-                    rows.append(np.arange(n, dtype=np.int64))
-                    continue
-                digits = [int(d) for d in allowed]
-                if not digits:
-                    raise ValueError(
-                        f"agent {i} position {p}: empty restriction"
-                    )
-                if len(set(digits)) != len(digits):
-                    raise ValueError(
-                        f"agent {i} position {p}: duplicate digits in "
-                        "restriction"
-                    )
-                for d in digits:
-                    if not 0 <= d < n:
-                        raise ValueError(
-                            f"agent {i} position {p}: digit {d} out of "
-                            f"range [0, {n})"
-                        )
-                if len(digits) != n:
-                    any_restricted = True
-                rows.append(np.array(digits, dtype=np.int64))
-            axes.append(rows)
-        return axes if any_restricted else None
-
     def sweep_profiles(
         self,
         max_profiles: int,
         collect_equilibria: bool = False,
         check_equilibria: bool = True,
-        restrict=None,
     ) -> ProfileSweep:
         """One pass computing ``optP`` and equilibrium extreme costs.
 
@@ -758,35 +701,26 @@ class TensorGame:
         :class:`ExplosionError` exactly when the reference
         strategy-profile enumeration would.
 
-        ``restrict`` (see :meth:`_restricted_axes`) enumerates only the
-        sub-box of profiles whose digits lie in the allowed lists, in the
-        same C-order: the guard applies to the *slice* size, and reported
-        indices (``argmin_index``, ``eq_indices``) are full-space flat
-        indices.  The equilibrium check still ranges over every feasible
-        deviation, so a flagged profile is an equilibrium of the whole
-        game, not merely of the slice.  This is the targeted-query
-        primitive for games too big to sweep whole.
-
         The one-lane case of :meth:`_sweep_lanes`, over zero-copy views.
         """
-
-        def block(s: int) -> Tuple[np.ndarray, np.ndarray]:
-            state = self.state_block(s)
-            return state.costs[None], state.social[None]
-
         sweeps, errors = self._sweep_lanes(
             self.probs[None],
-            block,
+            self._lane_block,
             self._lane_weights,
             self._equilibrium_tables,
             max_profiles,
             collect_equilibria,
             check_equilibria,
-            restrict,
         )
         if errors[0] is not None:
             raise errors[0]
         return sweeps[0]
+
+    def _lane_block(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
+        """State ``s``'s costs and social costs as one-lane views, the
+        ``blocks(s)`` form the lane kernels read."""
+        state = self.state_block(s)
+        return state.costs[None], state.social[None]
 
     def _sweep_lanes(
         self,
@@ -797,7 +731,6 @@ class TensorGame:
         max_profiles: int,
         collect_equilibria: bool,
         check_equilibria: bool,
-        restrict=None,
     ) -> Tuple[List[Optional[ProfileSweep]], List[Optional[BaseException]]]:
         """The blocked profile sweep over ``G`` lanes that share this
         lowering's structure (``G = 1`` for a single game).
@@ -811,12 +744,7 @@ class TensorGame:
         the sweep stops once every lane has errored.
         """
         group = probs.shape[0]
-        axes = self._restricted_axes(restrict)
-        if axes is None:
-            radix = [agent.radix for agent in self.agents]
-        else:
-            radix = [tuple(len(row) for row in rows) for rows in axes]
-        total_f = product_size(product_size(r) for r in radix)
+        total_f = self.profile_count()
         if total_f > max_profiles:
             return [None] * group, [
                 ExplosionError("strategy profiles", total_f, max_profiles)
@@ -824,28 +752,12 @@ class TensorGame:
             ]
         total = int(total_f)
         k = self.num_agents
-        strides = [_c_strides(r) for r in radix]
-        counts = [math.prod(r) for r in radix]
-        pstrides = _c_strides(counts)
         block = self._block_size(group)
 
         def digit(strategy, i: int, p: int):
-            """Agent ``i``'s full-space digit at type position ``p``."""
-            d = (strategy // strides[i][p]) % radix[i][p]
-            return d if axes is None else axes[i][p][d]
-
-        def full_index(index: int) -> int:
-            """The full-space flat index of slice profile ``index``, in
-            Python ints: a restricted slice's full space may pass int64."""
-            if axes is None or index < 0:
-                return index
-            flat = 0
-            for i, agent in enumerate(self.agents):
-                strategy = (index // pstrides[i]) % counts[i]
-                for p, stride in enumerate(agent.strides):
-                    d = axes[i][p][(strategy // strides[i][p]) % radix[i][p]]
-                    flat += self.profile_strides[i] * stride * int(d)
-            return flat
+            """Agent ``i``'s digit at type position ``p``."""
+            agent = self.agents[i]
+            return (strategy // agent.strides[p]) % agent.radix[p]
 
         opt = np.full(group, np.inf)
         argmin = np.full(group, -1, dtype=np.int64)
@@ -862,7 +774,10 @@ class TensorGame:
         for lo in range(0, total, block):
             hi = min(total, lo + block)
             flat = np.arange(lo, hi, dtype=np.int64)
-            strat = [(flat // pstrides[i]) % counts[i] for i in range(k)]
+            strat = [
+                (flat // stride) % agent.exact_count
+                for agent, stride in zip(self.agents, self.profile_strides)
+            ]
 
             # Shared per-state flat indices (structure), per-lane social
             # costs (data), folded in prior-support order (the reference
@@ -936,11 +851,11 @@ class TensorGame:
                 if eq_lists is not None:
                     lanes, columns = np.nonzero(ok & alive[:, None])
                     for g, column in zip(lanes.tolist(), columns.tolist()):
-                        eq_lists[g].append(full_index(lo + column))
+                        eq_lists[g].append(lo + column)
 
         folds = zip(
             opt.tolist(),
-            [full_index(index) for index in argmin.tolist()],
+            argmin.tolist(),
             best_eq.tolist(),
             worst_eq.tolist(),
             eq_found.tolist(),
@@ -957,44 +872,82 @@ class TensorGame:
     # ------------------------------------------------------------------
     # measure kernels
     # ------------------------------------------------------------------
-    def opt_p(self, max_profiles: int) -> float:
-        return self.sweep_profiles(max_profiles, check_equilibria=False).opt_p
-
-    def enumerate_bayesian_equilibria(
-        self, max_profiles: int
-    ) -> List[StrategyProfile]:
-        sweep = self.sweep_profiles(max_profiles, collect_equilibria=True)
-        assert sweep.eq_indices is not None
-        return [self.decode_profile(index) for index in sweep.eq_indices]
-
-    def bayesian_equilibrium_extreme_costs(
-        self, max_profiles: int
-    ) -> Tuple[float, float]:
-        sweep = self.sweep_profiles(max_profiles)
-        if not sweep.eq_found:
-            raise RuntimeError(f"{self.game!r} has no pure Bayesian equilibrium")
-        return sweep.best_eq, sweep.worst_eq
-
     def opt_c(self) -> float:
-        total = 0.0
-        for s, prob in enumerate(self.probs):
-            total += float(prob) * self.state_block(s).optimum()
-        return total
+        """``optC``: the one-lane case of :meth:`_opt_c_lanes`."""
+        return float(self._opt_c_lanes(self.probs[None], self._lane_block)[0])
 
     def eq_c(self) -> Tuple[float, float]:
-        best_total = 0.0
-        worst_total = 0.0
-        for s, prob in enumerate(self.probs):
-            extremes = self.state_block(s).nash_extreme_costs()
-            if extremes is None:
-                underlying = self.game.underlying_game(self.states[s])
-                raise RuntimeError(
-                    f"underlying game {underlying!r} has no pure Nash equilibrium"
-                )
-            best, worst = extremes
-            best_total += float(prob) * best
-            worst_total += float(prob) * worst
-        return best_total, worst_total
+        """``(best-eqC, worst-eqC)``: the one-lane case of
+        :meth:`_eq_c_lanes`, raising its error."""
+        pairs, errors = self._eq_c_lanes([self], self.probs[None], self._lane_block)
+        if errors[0] is not None:
+            raise errors[0]
+        return pairs[0]
+
+    def _opt_c_lanes(
+        self,
+        probs: np.ndarray,
+        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+    ) -> np.ndarray:
+        """Per-lane ``optC`` over ``G`` lanes of this lowering's structure
+        (never errors): ``0.0 + p*min`` folded in prior-support order.
+        ``probs`` and ``blocks`` are as in :meth:`_sweep_lanes`."""
+        totals = np.zeros(probs.shape[0])
+        for s in range(len(self.states)):
+            totals = totals + probs[:, s] * blocks(s)[1].min(axis=1)
+        return totals
+
+    def _eq_c_lanes(
+        self,
+        games: Sequence["TensorGame"],
+        probs: np.ndarray,
+        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[List[Optional[Tuple[float, float]]], List[Optional[BaseException]]]:
+        """Per-lane ``(best-eqC, worst-eqC)`` over ``G`` lanes, with one
+        error slot per lane; ``games[g]`` is lane ``g``'s lowering (it
+        names the state in the no-pure-Nash message).  Folds in
+        prior-support order and stops once every lane has errored."""
+        group = probs.shape[0]
+        best_total = np.zeros(group)
+        worst_total = np.zeros(group)
+        alive = np.ones(group, dtype=bool)
+        errors: List[Optional[BaseException]] = [None] * group
+        for s, shape in enumerate(self.state_shapes):
+            costs, social = blocks(s)
+            flat_mask, state_errors = nash_masks(costs, shape)
+            for g, error in enumerate(state_errors):
+                if error is not None and alive[g]:
+                    errors[g] = error
+                    alive[g] = False
+            has = flat_mask.any(axis=1)
+            none = ~has & alive
+            if none.any():
+                for g in np.nonzero(none)[0]:
+                    underlying = games[g].game.underlying_game(games[g].states[s])
+                    errors[g] = RuntimeError(
+                        f"underlying game {underlying!r} "
+                        "has no pure Nash equilibrium"
+                    )
+                alive &= ~none
+            # Dead lanes fold 0.0 (their totals are discarded) so mixed
+            # infinities can never turn a live lane's sum into NaN noise.
+            best_s = np.where(
+                has, np.where(flat_mask, social, np.inf).min(axis=1), 0.0
+            )
+            worst_s = np.where(
+                has, np.where(flat_mask, social, -np.inf).max(axis=1), 0.0
+            )
+            best_total = best_total + probs[:, s] * best_s
+            worst_total = worst_total + probs[:, s] * worst_s
+            if not alive.any():
+                break
+        pairs: List[Optional[Tuple[float, float]]] = [
+            None
+            if errors[g] is not None
+            else (float(best_total[g]), float(worst_total[g]))
+            for g in range(group)
+        ]
+        return pairs, errors
 
     # ------------------------------------------------------------------
     # dynamics kernels: interim best responses over precomputed
@@ -1239,11 +1192,13 @@ def batch_signature(lowered: TensorGame) -> Tuple:
 class BatchTensorGame:
     """A bucket of same-signature lowered games stacked game-major.
 
-    The profile sweep and the pure-Nash fold are the kernels a single
-    game runs (:meth:`TensorGame._sweep_lanes`, :func:`nash_masks`) with
-    one lane per game; a single game is their one-lane case.  The other
-    kernels (``opt_c``, the state optima, the lockstep dynamics) add a
-    leading game axis to the per-game arithmetic.  Lanes never mix:
+    The profile sweep, the pure-Nash fold and the ``eqC``/``optC`` folds
+    are the kernels a single game runs (:meth:`TensorGame._sweep_lanes`,
+    :func:`nash_masks`, :meth:`TensorGame._eq_c_lanes`,
+    :meth:`TensorGame._opt_c_lanes`) with one lane per game; a single
+    game is their one-lane case.  The other kernels (the state optima,
+    the lockstep dynamics) add a leading game axis to the per-game
+    arithmetic.  Lanes never mix:
     elementwise ops touch one lane each, running ``min``/``argmin``
     folds are exact and keep the first occurrence, and every error
     *condition* is a per-profile property of one lane, so no lane's
@@ -1352,60 +1307,22 @@ class BatchTensorGame:
         return np.stack([social.min(axis=1) for social in state_social], axis=1)
 
     def opt_c(self, subset: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-game ``optC`` via the per-state tables (never errors)."""
-        _games, probs, _costs, state_social, _w = self._take(subset)
-        totals = np.zeros(len(_games))
-        for s in range(len(state_social)):
-            totals = totals + probs[:, s] * state_social[s].min(axis=1)
-        return totals
+        """Per-game ``optC`` via the per-state tables (never errors):
+        :meth:`TensorGame._opt_c_lanes` over the bucket."""
+        _games, probs, state_costs, state_social, _w = self._take(subset)
+        return self.template._opt_c_lanes(
+            probs, lambda s: (state_costs[s], state_social[s])
+        )
 
     def eq_c(
         self, subset: Optional[Sequence[int]] = None
     ) -> Tuple[List[Optional[Tuple[float, float]]], List[Optional[BaseException]]]:
-        """Per-game ``(best-eqC, worst-eqC)`` with per-game error lanes."""
+        """Per-game ``(best-eqC, worst-eqC)`` with per-game error lanes:
+        :meth:`TensorGame._eq_c_lanes` over the bucket."""
         games, probs, state_costs, state_social, _w = self._take(subset)
-        group = len(games)
-        template = self.template
-        best_total = np.zeros(group)
-        worst_total = np.zeros(group)
-        alive = np.ones(group, dtype=bool)
-        errors: List[Optional[BaseException]] = [None] * group
-        for s, shape in enumerate(template.state_shapes):
-            flat_mask, state_errors = nash_masks(state_costs[s], shape)
-            for g, error in enumerate(state_errors):
-                if error is not None and alive[g]:
-                    errors[g] = error
-                    alive[g] = False
-            has = flat_mask.any(axis=1)
-            none = ~has & alive
-            if none.any():
-                for g in np.nonzero(none)[0]:
-                    underlying = games[g].game.underlying_game(games[g].states[s])
-                    errors[g] = RuntimeError(
-                        f"underlying game {underlying!r} "
-                        "has no pure Nash equilibrium"
-                    )
-                alive &= ~none
-            social = state_social[s]
-            # Dead lanes fold 0.0 (their totals are discarded) so mixed
-            # infinities can never turn a live lane's sum into NaN noise.
-            best_s = np.where(
-                has, np.where(flat_mask, social, np.inf).min(axis=1), 0.0
-            )
-            worst_s = np.where(
-                has, np.where(flat_mask, social, -np.inf).max(axis=1), 0.0
-            )
-            best_total = best_total + probs[:, s] * best_s
-            worst_total = worst_total + probs[:, s] * worst_s
-            if not alive.any():
-                break
-        pairs: List[Optional[Tuple[float, float]]] = [
-            None
-            if errors[g] is not None
-            else (float(best_total[g]), float(worst_total[g]))
-            for g in range(group)
-        ]
-        return pairs, errors
+        return self.template._eq_c_lanes(
+            games, probs, lambda s: (state_costs[s], state_social[s])
+        )
 
     # ------------------------------------------------------------------
     # batched best-response dynamics

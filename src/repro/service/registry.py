@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.session import GameSession
@@ -66,9 +66,6 @@ class SessionEntry:
     spec: TabularGameSpec
     session: GameSession
     hits: int = 0
-    #: Guards lazy session construction fields if ever needed; the
-    #: session's own ``lock`` is what query evaluation must hold.
-    meta: Dict[str, Any] = field(default_factory=dict)
 
 
 class SessionRegistry:

@@ -395,6 +395,24 @@ class _Handler(BaseHTTPRequestHandler):
                 f"got {max_rounds!r}"
             )
         entry = self._entry(key)
+        if initial is not None:
+            game = entry.session.game
+            spaces = [game.actions(i) for i in range(game.num_agents)]
+            valid = (
+                isinstance(initial, tuple)
+                and len(initial) == len(spaces)
+                and all(
+                    isinstance(strategy, tuple)
+                    and len(strategy) == len(game.types(i))
+                    and all(action in spaces[i] for action in strategy)
+                    for i, strategy in enumerate(initial)
+                )
+            )
+            if not valid:
+                raise RequestError(
+                    400, "bad-request", "initial must hold one tuple per agent "
+                    "with one action per type from that agent's action space"
+                )
         try:
             with entry.session.lock:
                 fixed_point = entry.session.best_response_dynamics(

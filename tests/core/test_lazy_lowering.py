@@ -5,14 +5,12 @@ randomized three-way value-parity battery; this file pins down the
 *contract*: block-cache accounting and eviction, the ``lower_game_lazy``
 guards, ``maybe_lower``'s store choice and its single cache slot,
 ``drop_lowering`` across every owner (game, session, NCS wrapper,
-service registry), restricted sweeps on both stores against brute-force
-enumeration, and the acceptance path — a game whose full tabulation
-exceeds the dense cell guard runs dynamics and targeted queries on the
-LRU store with no reference fallback.
+service registry), the LRU sweep against the pinned one, and the
+acceptance path — a game whose full tabulation exceeds the dense cell
+guard runs dynamics and targeted queries on the LRU store with no
+reference fallback.
 """
 
-import itertools
-import math
 import os
 import sys
 import threading
@@ -26,7 +24,6 @@ _TESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path.insert(0, os.path.join(_TESTS, "engine_fuzz"))
 sys.path.insert(0, os.path.join(_TESTS, "ncs"))
 
-from repro._util import ExplosionError
 from repro.core import (
     BayesianGame,
     CommonPrior,
@@ -35,7 +32,6 @@ from repro.core import (
     query,
 )
 from repro.core import tensor
-from repro.core.equilibrium import is_bayesian_equilibrium
 from repro.core.lazy import _BlockCache, default_cache_cells
 from repro.core.tensor import (
     _LOWERED_ATTR,
@@ -356,140 +352,18 @@ class TestMaybeLowerModes:
 
 
 # ----------------------------------------------------------------------
-# restricted sweeps
+# the sweep on the LRU store
 # ----------------------------------------------------------------------
 
-class _RestrictedSweepCases:
-    """Restricted-sweep contract, run once per block store: ``lower`` is
-    the store's lowering function."""
-
-    def _brute_force(self, game, lowered, restrict):
-        """All profiles of the restricted box, via itertools on digits."""
-        profiles = []
-        per_agent = []
-        for i, agent in enumerate(lowered.agents):
-            spec = restrict[i]
-            rows = []
-            for p, n in enumerate(agent.radix):
-                allowed = None if spec is None else spec[p]
-                rows.append(list(range(n)) if allowed is None else list(allowed))
-            per_agent.append(
-                [
-                    tuple(agent.choices[p][d] for p, d in enumerate(digits))
-                    for digits in itertools.product(*rows)
-                ]
-            )
-        for combo in itertools.product(*per_agent):
-            profiles.append(tuple(combo))
-        return profiles
-
-    def test_restricted_sweep_matches_brute_force(self):
-        game = skew_game()
-        lowered = self.lower(game)
-        restrict = [[[0, 2], [1, 2]], None]
-        sweep = lowered.sweep_profiles(
-            10_000, collect_equilibria=True, restrict=restrict
-        )
-        box = self._brute_force(game, lowered, restrict)
-        assert len(box) == 2 * 2 * 3
-        costs = [game.social_cost(profile) for profile in box]
-        assert math.isclose(sweep.opt_p, min(costs), rel_tol=1e-12)
-        # argmin decodes to a profile inside the box achieving the optimum.
-        argmin_profile = lowered.decode_profile(sweep.argmin_index)
-        assert argmin_profile in box
-        assert math.isclose(
-            game.social_cost(argmin_profile), sweep.opt_p, rel_tol=1e-12
-        )
-        # Equilibria of the slice == box members that are equilibria of
-        # the FULL game (deviations range over the whole feasible lists).
-        expected = {p for p in box if is_bayesian_equilibrium(game, p)}
-        assert sweep.eq_indices is not None
-        decoded = {lowered.decode_profile(index) for index in sweep.eq_indices}
-        assert decoded == expected
-        assert sweep.eq_found == bool(expected)
-
-    def test_unrestricted_and_full_cover_restrictions_match_dense(self):
-        game = skew_game()
-        dense = lower_game(game)
-        lowered = self.lower(game)
-        baseline = dense.sweep_profiles(10_000, collect_equilibria=True)
-        for restrict in (
-            None,
-            [None, None],
-            [[[0, 1], [0, 1, 2]], [[0, 1, 2]]],  # full lists == no restriction
-        ):
-            sweep = lowered.sweep_profiles(
-                10_000, collect_equilibria=True, restrict=restrict
-            )
-            assert sweep == baseline
-
-    def test_guard_applies_to_the_slice_size(self):
-        lowered = self.lower(skew_game())
-        restrict = [[[0], [1]], [[0, 2]]]
-        # Slice has 2 profiles; full space has 27.
-        sweep = lowered.sweep_profiles(2, restrict=restrict)
-        assert sweep is not None
-        with pytest.raises(ExplosionError) as excinfo:
-            lowered.sweep_profiles(1, restrict=restrict)
-        err = excinfo.value
-        assert (err.what, err.size, err.limit) == ("strategy profiles", 2, 1)
-
-    def test_slice_indices_stay_exact_past_int64(self):
-        """A slice of a space with more than 2**63 profiles still reports
-        exact full-space indices (Python ints, not int64)."""
-        types = list(range(64))
-
-        def cost(agent, profile, actions):
-            return float(actions[agent] != profile[0] % 2) + 0.5 * abs(
-                actions[0] - actions[1]
-            )
-
-        game = BayesianGame(
-            [[0, 1], [0, 1]],
-            [types, [0]],
-            CommonPrior({(t, 0): 1 / 64 for t in types}),
-            cost,
-            name="wide",
-        )
-        lowered = self.lower(game)
-        assert lowered.profile_count() > 2**63
-        restrict = [[[t % 2] for t in types[:-1]] + [None], None]
-        sweep = lowered.sweep_profiles(10, collect_equilibria=True, restrict=restrict)
-        box = self._brute_force(game, lowered, restrict)
-        costs = {profile: game.social_cost(profile) for profile in box}
-        assert lowered.decode_profile(sweep.argmin_index) in box
-        assert costs[lowered.decode_profile(sweep.argmin_index)] == sweep.opt_p
-        assert sweep.opt_p == min(costs.values())
-        expected = [p for p in box if is_bayesian_equilibrium(game, p)]
-        assert expected
-        assert [lowered.decode_profile(i) for i in sweep.eq_indices] == expected
-
-    @pytest.mark.parametrize(
-        "restrict, message",
-        [
-            ([None], "must cover all 2 agents"),
-            ([[[0]], None], "must cover all 2 type positions"),
-            ([[[0], []], None], "empty restriction"),
-            ([[[0], [1, 1]], None], "duplicate digits"),
-            ([[[0], [3]], None], "out of range"),
-        ],
-    )
-    def test_restriction_validation(self, restrict, message):
-        lowered = self.lower(skew_game())
-        with pytest.raises(ValueError, match=message):
-            lowered.sweep_profiles(10_000, restrict=restrict)
-
-
-class TestRestrictedSweep(_RestrictedSweepCases):
-    """The LRU store: restricted sweeps take the per-block gather."""
-
-    lower = staticmethod(lower_game_lazy)
+class TestRestrictedSweep:
+    """The whole-space sweep on the LRU store.  (The class name predates
+    the removal of restricted sweeps; it stays so these ids are stable.)"""
 
     def test_pinned_tables_and_lru_gather_agree_on_a_tie_rich_slice(self):
         """Multi-state rows with integer-valued (tie-rich) costs: the
         pinned store checks equilibria through its best-response tables,
-        the LRU store through the gather, and the two sweeps of every
-        slice must be equal field for field."""
+        the LRU store through the gather, and the two sweeps must be
+        equal field for field."""
         game = tie_rich_game()
         pinned = lower_game(game)
         lru = lower_game_lazy(game, cache_cells=9)
@@ -502,20 +376,9 @@ class TestRestrictedSweep(_RestrictedSweepCases):
         ]
         assert multi and all(tables[i][r] is not None for i, r in multi)
         assert lru._equilibrium_tables() is None
-        # Every slice holds at least one of the game's three equilibria.
-        for restrict in (
-            None,
-            [[[0, 2], None], None],
-            [[[1, 2], [0, 2]], [[1, 2], [1]]],
-            [None, [[0, 2], [0, 1]]],
-        ):
-            expected = pinned.sweep_profiles(
-                10_000, collect_equilibria=True, restrict=restrict
-            )
-            assert expected.eq_found
-            assert lru.sweep_profiles(
-                10_000, collect_equilibria=True, restrict=restrict
-            ) == expected
+        expected = pinned.sweep_profiles(10_000, collect_equilibria=True)
+        assert len(expected.eq_indices) == 3
+        assert lru.sweep_profiles(10_000, collect_equilibria=True) == expected
         assert lru.cache_stats()["evictions"] > 0
 
     def test_sweep_block_reads_are_pinned(self, monkeypatch):
@@ -528,23 +391,9 @@ class TestRestrictedSweep(_RestrictedSweepCases):
         monkeypatch.setattr(tensor, "BLOCK_CELLS", 64)
         lru = lower_game_lazy(tie_rich_game(), cache_cells=54)
         assert lru._block_size() == 16
-
-        def counters():
-            stats = lru.cache_stats()
-            return stats["hits"], stats["misses"], stats["evictions"]
-
         lru.sweep_profiles(10_000, collect_equilibria=True)
-        assert counters() == (11, 61, 58)
-        lru.sweep_profiles(
-            10_000, collect_equilibria=True, restrict=[[[1, 2], [0, 2]], [[1, 2], [1]]]
-        )
-        assert counters() == (13, 71, 68)
-
-
-class TestRestrictedSweepPinned(_RestrictedSweepCases):
-    """The pinned store: restricted sweeps read the equilibrium tables."""
-
-    lower = staticmethod(lower_game)
+        stats = lru.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (11, 61, 58)
 
 
 # ----------------------------------------------------------------------

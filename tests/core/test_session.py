@@ -116,18 +116,36 @@ class TestPlannerSharesEnumeration:
 
     def test_state_analyses_memoize(self, monkeypatch):
         calls = []
-        original = tensor.StateTensor.nash_mask
+        original = tensor.nash_masks
 
-        def counting(self):
-            calls.append(self)
-            return original(self)
+        def counting(costs, shape):
+            calls.append(shape)
+            return original(costs, shape)
 
-        monkeypatch.setattr(tensor.StateTensor, "nash_mask", counting)
+        monkeypatch.setattr(tensor, "nash_masks", counting)
         game = informed_coordination_game()
         session = GameSession(game)
         session.evaluate([query("ignorance_report"), query("eq_c")])
         session.eq_c()
         assert len(calls) == len(game.prior.support())
+
+    def test_opt_c_query_and_report_share_one_fold(self, monkeypatch):
+        """On a lowered game the ``opt_c`` query and the report read one
+        memoized fold of the lowering, never the per-state optima."""
+        calls = []
+        original = GameSession.state_optimum
+
+        def counting(self, profile):
+            calls.append(profile)
+            return original(self, profile)
+
+        monkeypatch.setattr(GameSession, "state_optimum", counting)
+        session = GameSession(informed_coordination_game())
+        value, report = session.evaluate([query("opt_c"), query("ignorance_report")])
+        assert report.opt_c == value
+        assert calls == []
+        keys = [key for key in session._memo if str(key[0]).startswith("opt_c")]
+        assert keys == [("opt_c",)]
 
 
 class TestAnswersMatchFreeFunctions:

@@ -540,19 +540,21 @@ def run_kernel_battery(spec: TabularGameSpec, lowered) -> Dict[str, Outcome]:
     """Every kernel a lowering exposes, keyed like the reference slice.
 
     ``lowered`` is a ``TensorGame`` over either block store — both
-    run the same kernels, so one battery serves both columns.
+    run the same kernels, so one battery serves both columns.  The
+    sweep-backed measures come from a fresh :class:`GameSession` per key
+    that holds ``lowered``, so each key runs its own sweep on that store.
     """
-    from repro.core.strategy import DEFAULT_MAX_PROFILES
-
     game = lowered.game
+
+    def session() -> GameSession:
+        fresh = GameSession(game)
+        fresh._lowered_entry = (lowered,)
+        return fresh
+
     results: Dict[str, Outcome] = {}
-    results["equilibria"] = _outcome(
-        lambda: lowered.enumerate_bayesian_equilibria(DEFAULT_MAX_PROFILES)
-    )
-    results["eq_extremes"] = _outcome(
-        lambda: lowered.bayesian_equilibrium_extreme_costs(DEFAULT_MAX_PROFILES)
-    )
-    results["opt_p"] = _outcome(lambda: lowered.opt_p(DEFAULT_MAX_PROFILES))
+    results["equilibria"] = _outcome(lambda: session().bayesian_equilibria())
+    results["eq_extremes"] = _outcome(lambda: session().equilibrium_extreme_costs())
+    results["opt_p"] = _outcome(lambda: session().opt_p())
     results["opt_c"] = _outcome(lambda: lowered.opt_c())
     results["eq_c"] = _outcome(lambda: lowered.eq_c())
     results["explosion_guard"] = _explosion_outcome(

@@ -184,6 +184,36 @@ class TestErrorBodies:
         assert body["error"]["code"] == "bad-request"
         assert "max_rounds must be a positive int" in body["error"]["message"]
 
+    def test_malformed_initial_400(self, server, client):
+        """An ``initial`` that is not a strategy profile of the game is a
+        bad request, not an error inside the dynamics."""
+        from repro.service.codec import encode_result
+
+        spec = spec_for_seed(3)
+        game_key = client.submit(spec)
+        valid, _ = random_profiles(spec)
+        assert all(99 not in space for space in spec.action_spaces)
+        path = f"/v1/games/{game_key}/dynamics"
+        malformed = [
+            5,
+            "x",
+            True,
+            2.5,
+            encode_result((1, 2)),
+            encode_result(()),
+            encode_result((valid[0] + valid[0][:1],) + valid[1:]),
+            encode_result(((99,) + valid[0][1:],) + valid[1:]),
+        ]
+        for initial in malformed:
+            status, body = raw_request(server, "POST", path, {"initial": initial})
+            assert status == 400, (initial, body)
+            assert body["error"]["code"] == "bad-request"
+            assert "initial must hold" in body["error"]["message"]
+        status, body = raw_request(
+            server, "POST", path, {"initial": encode_result(valid)}
+        )
+        assert status == 200, body
+
     def test_unknown_measure_reraises_value_error(self, client):
         game_key = client.submit(spec_for_seed(0))
         session = GameSession(spec_for_seed(0).build())
