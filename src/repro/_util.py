@@ -120,3 +120,9 @@ def product_size(sizes: Iterable[int]) -> float:
     for size in sizes:
         result *= size
     return result
+
+
+def nearest_rank(sorted_values: Sequence[float], q: int) -> float:
+    """Nearest-rank ``q``-th percentile of an already-sorted non-empty list."""
+    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
+    return float(sorted_values[rank - 1])

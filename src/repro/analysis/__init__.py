@@ -11,7 +11,6 @@ from .fitting import (
     fit_power,
     growth_exponent,
 )
-from .registry import clear
 from .table1 import CellResult, SeriesPoint, render_markdown, render_series_block
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "fit_logarithmic",
     "fit_power",
     "growth_exponent",
-    "clear",
     "CellResult",
     "SeriesPoint",
     "render_markdown",

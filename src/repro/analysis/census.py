@@ -52,6 +52,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._util import nearest_rank
 from ..core.game import BayesianGame
 from ..core.measures import IgnoranceReport
 from ..core.prior import CommonPrior
@@ -448,12 +449,6 @@ register_batch_runner(
 # reduction: distribution statistics per cell
 # ----------------------------------------------------------------------
 
-def _percentile(sorted_values: Sequence[float], q: int) -> float:
-    """Nearest-rank percentile over an already-sorted non-empty list."""
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return float(sorted_values[rank - 1])
-
-
 def _histogram(values: Sequence[float]) -> List[int]:
     """Counts per :data:`HISTOGRAM_EDGES` bin; the last bin is open."""
     counts = [0] * len(HISTOGRAM_EDGES)
@@ -571,7 +566,7 @@ def census_statistics(
                 max=finite[-1],
                 mean=float(sum(finite) / len(finite)),
                 **{
-                    f"p{q}": _percentile(finite, q) for q in PERCENTILES
+                    f"p{q}": nearest_rank(finite, q) for q in PERCENTILES
                 },
             )
         ratios[kind] = stats

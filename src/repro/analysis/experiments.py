@@ -22,9 +22,10 @@ Conventions
   parameters, so values are identical no matter which worker process —
   or how many of them — computes them.
 * Enumeration-heavy unit tasks run on the tensorized evaluation engine
-  (:mod:`repro.core.tensor`) by default; ``unit_ncs_report`` exposes an
-  ``engine`` parameter so benches and parity checks can pin the
-  reference path through the same runtime.
+  (:mod:`repro.core.tensor`) by default and inherit the ambient engine
+  (``REPRO_ENGINE`` or :func:`~repro.core.tensor.engine_override`), so
+  benches and parity checks pin the reference path through the same
+  runtime.
 * Measure-bundle unit tasks state *queries* against a per-game
   :class:`~repro.core.session.GameSession` rather than hand-ordered
   free-function calls: the session lowers the game once and its planner
@@ -35,14 +36,12 @@ Conventions
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._util import harmonic
 from ..core.session import GameSession, query
-from ..core.tensor import engine_override as tensor_engine_override
 from ..constructions.affine_game import build_affine_plane_game
 from ..constructions.anshelevich import build_anshelevich_game
 from ..constructions.bliss_triangle import build_bliss_triangle
@@ -86,7 +85,6 @@ def unit_ncs_report(
     directed: bool,
     num_nodes: int = 5,
     extra_edges: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, float]:
     """All six ignorance measures of one random Bayesian NCS game.
 
@@ -95,15 +93,10 @@ def unit_ncs_report(
     enumeration — small.  Returning the full report (rather than one
     ratio) lets the opt/best-eq/worst-eq cells share cached values.
 
-    ``engine`` explicitly selects the evaluation engine (``auto``/
-    ``tensor``/``reference``); ``None`` (the default, and what every
-    stock spec uses) inherits the ambient engine, so a caller's pin —
-    e.g. ``REPRO_ENGINE=reference``, which the executor folds into the
-    cache key — is honored rather than re-overridden.  The tensor and
-    reference paths agree to tolerance (see
-    ``benchmarks/bench_engine.py``); as distinct spec params they are
-    cached under distinct keys.  The override is thread-local, so
-    concurrent thread-backend tasks cannot perturb each other.
+    Runs on the ambient engine, so a caller's pin — e.g.
+    ``REPRO_ENGINE=reference``, which the executor folds into the cache
+    key — is honored.  The tensor and reference paths agree to tolerance
+    (see ``benchmarks/bench_engine.py``).
     """
     if extra_edges is None:
         extra_edges = num_nodes if directed else 2
@@ -111,9 +104,7 @@ def unit_ncs_report(
     game = random_bayesian_ncs(
         k, num_nodes, rng, directed=directed, extra_edges=extra_edges
     )
-    context = tensor_engine_override(engine) if engine else nullcontext()
-    with context:
-        (report,) = game.session().evaluate([query("ignorance_report")])
+    (report,) = game.session().evaluate([query("ignorance_report")])
     return report.as_dict()
 
 
@@ -257,13 +248,12 @@ def unit_dynamics_fixed_point(
     directed: bool,
     num_nodes: int = 5,
     extra_edges: Optional[int] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, float]:
     """Interim best-response dynamics on one random Bayesian NCS game.
 
     Runs the greedy-seeded dynamics (the tensor fast path whenever the
-    game lowers; ``engine`` pins a path explicitly, with the same
-    semantics as in :func:`unit_ncs_report`), asserts the fixed point is
+    game lowers, on the ambient engine like :func:`unit_ncs_report`),
+    asserts the fixed point is
     a pure Bayesian equilibrium, and returns its social cost next to the
     exact equilibrium extremes so the reducer can check the sandwich
     ``best-eqP <= K(fixed point) <= worst-eqP`` on every instance.
@@ -278,14 +268,12 @@ def unit_dynamics_fixed_point(
     game = random_bayesian_ncs(
         k, num_nodes, rng, directed=directed, extra_edges=extra_edges
     )
-    context = tensor_engine_override(engine) if engine else nullcontext()
-    with context:
-        session = GameSession(game.game)
-        fixed_point, (best, worst) = session.evaluate(
-            [query("dynamics"), query("eq_p")]
-        )
-        assert is_bayesian_equilibrium(game.game, fixed_point)
-        cost = game.social_cost(fixed_point)
+    session = GameSession(game.game)
+    fixed_point, (best, worst) = session.evaluate(
+        [query("dynamics"), query("eq_p")]
+    )
+    assert is_bayesian_equilibrium(game.game, fixed_point)
+    cost = game.social_cost(fixed_point)
     return {"dynamics": cost, "best_eq": best, "worst_eq": worst}
 
 

@@ -1,39 +1,24 @@
 """The experiment registry: every experiment id is a sweep spec.
 
 Every experiment id (T1-D-opt-E, FIG1, SEC4, ...) is backed by a
-:class:`~repro.runtime.spec.SweepSpec` declared in
-:mod:`repro.analysis.experiments`; ``sweep_specs()`` exposes them (plus
-any specs registered at runtime) to the ``python -m repro`` CLI and the
-parallel engine.  Run one with
-:func:`~repro.runtime.executor.sweep_cells`.
+:class:`~repro.runtime.spec.SweepSpec` built by one of
+:data:`repro.analysis.experiments.SWEEP_FACTORIES`; ``sweep_specs()``
+exposes them to the ``python -m repro`` CLI and the parallel engine.
+Run one with :func:`~repro.runtime.executor.sweep_cells`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List
 
-#: Sweep specs registered at runtime (on top of the built-in suite).
-_SWEEPS: Dict[str, "SweepSpec"] = {}
-
-
-def register_sweep(sweep: "SweepSpec") -> "SweepSpec":
-    """Register (or replace) a runtime sweep spec under its sweep id."""
-    _SWEEPS[sweep.sweep_id] = sweep
-    return sweep
-
 
 def sweep_specs() -> Dict[str, "SweepSpec"]:
-    """Every spec-backed experiment id, in reporting order.
-
-    The built-in suite from :mod:`repro.analysis.experiments` (imported
-    lazily to avoid a cycle) plus runtime registrations, which shadow
-    built-ins of the same id.
-    """
+    """Every spec-backed experiment id, in reporting order: the suite of
+    :mod:`repro.analysis.experiments` (imported lazily to avoid a
+    cycle)."""
     from . import experiments
 
-    merged: Dict[str, "SweepSpec"] = dict(experiments.SWEEPS)
-    merged.update(_SWEEPS)
-    return merged
+    return dict(experiments.SWEEPS)
 
 
 def sweep_ids() -> List[str]:
@@ -75,8 +60,3 @@ def resolve_sweeps(tokens: Iterable[str]) -> List["SweepSpec"]:
         for sweep_id in matches:
             selected.setdefault(sweep_id, specs[sweep_id])
     return list(selected.values())
-
-
-def clear() -> None:
-    """Testing hook: forget all runtime sweep registrations."""
-    _SWEEPS.clear()

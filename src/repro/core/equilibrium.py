@@ -5,16 +5,13 @@ restricts attention to Bayesian games that admit pure Bayesian equilibria
 and whose underlying games admit pure Nash equilibria (guaranteed for
 potential games, hence for all NCS games).
 
-Enumeration entry points dispatch to the tensorized engine
-(:mod:`repro.core.tensor`) whenever the game lowers: over pinned blocks
-when the dense form fits the cell guard, over the LRU block store
-(:mod:`repro.core.lazy` — per-state cost blocks tabulated on demand)
-when only that guard refuses; the
-per-profile Python path remains the reference semantics (and the parity
-oracle — see ``tests/core/test_tensor_parity.py``).  The
+The complete-information (underlying-game) functions are per-profile
+Python loops.  A lowered Bayesian game (:mod:`repro.core.tensor`) serves
+the same per-state quantities from its cost blocks, with these loops as
+the parity oracle (see ``tests/core/test_tensor_parity.py``).  The
 Bayesian-level entry points are thin wrappers over one-shot
-:class:`~repro.core.session.GameSession` objects, which is where the
-lowering/enumeration sharing now lives — hold a session (or use
+:class:`~repro.core.session.GameSession` objects, which dispatch to the
+lowered engine and share its enumeration — hold a session (or use
 :func:`repro.core.session.evaluate`) when computing several measures of
 one game.
 """
@@ -93,9 +90,6 @@ def enumerate_nash_equilibria(
     max_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
 ) -> List[ActionProfile]:
     """All pure Nash equilibria (over feasible action profiles)."""
-    lowered = tensor.maybe_state_tensor(game, max_profiles)
-    if lowered is not None:
-        return lowered.nash_equilibria()
     return [
         actions
         for actions in enumerate_action_profiles(game, max_profiles)
@@ -112,14 +106,6 @@ def nash_extreme_costs(
     Raises ``RuntimeError`` when the underlying game has no pure Nash
     equilibrium (outside the paper's model).
     """
-    lowered = tensor.maybe_state_tensor(game, max_profiles)
-    if lowered is not None:
-        extremes = lowered.nash_extreme_costs()
-        if extremes is None:
-            raise RuntimeError(
-                f"underlying game {game!r} has no pure Nash equilibrium"
-            )
-        return extremes
     best = float("inf")
     worst = float("-inf")
     found = False
@@ -145,24 +131,11 @@ def complete_best_response_dynamics(
 
     Converges whenever the game admits an (exact) potential; raises
     ``RuntimeError`` after ``max_rounds`` full sweeps without convergence.
-
-    On lowerable games each sweep step is a vectorized argmin over the
-    tabulated deviation row (:meth:`StateTensor.best_response_dynamics`),
-    visiting the identical profile sequence as the reference loop below
-    — same sweep order, tie-breaks, and convergence/cycle behavior.
     """
     if initial is None:
         actions = tuple(game.actions(agent)[0] for agent in range(game.num_agents))
     else:
         actions = tuple(initial)
-    lowered = tensor.maybe_state_tensor(game)
-    if lowered is not None:
-        flat = lowered.encode(actions)
-        if flat is not None:
-            fixed_point = lowered.best_response_dynamics(flat, max_rounds)
-            if fixed_point is None:
-                raise RuntimeError("best-response dynamics did not converge")
-            return lowered.decode(fixed_point)
     for _ in range(max_rounds):
         changed = False
         for agent in range(game.num_agents):

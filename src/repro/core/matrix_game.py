@@ -9,12 +9,11 @@ checks of the generic machinery, and for textbook examples in the tests.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .._util import lt
-from . import tensor
 from .game import BayesianGame, complete_information_game
 from .prior import CommonPrior
 
@@ -44,7 +43,6 @@ class MatrixGame:
                 raise ValueError("cost tensors must share one shape")
         self.costs = arrays
         self.shape = shape
-        self._state_tensor_cache: Optional[tensor.StateTensor] = None
 
     @property
     def num_agents(self) -> int:
@@ -75,40 +73,21 @@ class MatrixGame:
             mutable[agent] = actions[agent]
         return True
 
-    def _as_state_tensor(self) -> "tensor.StateTensor":
-        """This game as a :class:`~repro.core.tensor.StateTensor` (cached)."""
-        if self._state_tensor_cache is None:
-            self._state_tensor_cache = tensor.StateTensor(
-                [list(range(n)) for n in self.shape],
-                np.stack([costs.reshape(-1) for costs in self.costs]),
-            )
-        return self._state_tensor_cache
-
     def nash_equilibria(self) -> List[Tuple[int, ...]]:
-        """All pure Nash profiles, via one vectorized best-response mask.
-
-        Falls back to the per-profile scan when the reference engine is
-        forced (results are identical; the scan is the parity oracle).
-        """
-        if not tensor.tensor_enabled():
-            return [a for a in self.action_profiles() if self.is_nash(a)]
-        return self._as_state_tensor().nash_equilibria()
+        """All pure Nash profiles, in C-order enumeration order."""
+        return [a for a in self.action_profiles() if self.is_nash(a)]
 
     def optimum(self) -> Tuple[Tuple[int, ...], float]:
-        """Socially optimal action profile and its cost."""
-        if not tensor.tensor_enabled():
-            best_profile = None
-            best_cost = float("inf")
-            for actions in self.action_profiles():
-                cost = self.social_cost(actions)
-                if cost < best_cost:
-                    best_cost = cost
-                    best_profile = actions
-            assert best_profile is not None
-            return best_profile, best_cost
-        state = self._as_state_tensor()
-        flat = int(state.social.argmin())  # first min = reference scan order
-        return state.decode(flat), float(state.social[flat])
+        """Socially optimal action profile (first minimizer) and its cost."""
+        best_profile = None
+        best_cost = float("inf")
+        for actions in self.action_profiles():
+            cost = self.social_cost(actions)
+            if cost < best_cost:
+                best_cost = cost
+                best_profile = actions
+        assert best_profile is not None
+        return best_profile, best_cost
 
     # ------------------------------------------------------------------
     def to_bayesian(self) -> BayesianGame:

@@ -462,17 +462,18 @@ class GameSession:
         return list(scan.equilibria)
 
     def state_optimum(self, profile: TypeProfile) -> float:
-        """``min_a K_t(a)`` for one type profile (memoized per state)."""
+        """``min_a K_t(a)`` for one type profile (memoized per state):
+        the block's optimum for a support state of a game that lowers,
+        the reference enumeration otherwise."""
         profile = tuple(profile)
 
         def compute() -> float:
             with self._scope():
+                lowered = self._kernel()
+                s = None if lowered is None else lowered.state_index.get(profile)
+                if s is not None:
+                    return lowered.state_block(s).optimum()
                 underlying = self.game.underlying_game(profile)
-                lowered = tensor.maybe_state_tensor(
-                    underlying, self.max_action_profiles
-                )
-                if lowered is not None:
-                    return lowered.optimum()
                 return min(
                     underlying.social_cost(actions)
                     for actions in enumerate_action_profiles(

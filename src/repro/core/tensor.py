@@ -69,13 +69,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .._util import TOLERANCE, ExplosionError, lt, product_size
-from .game import (
-    Action,
-    ActionProfile,
-    BayesianGame,
-    StrategyProfile,
-    UnderlyingGame,
-)
+from .game import Action, BayesianGame, StrategyProfile
 from .strategy import per_type_choices
 
 #: Guard on the number of action profiles enumerated in an underlying game
@@ -90,8 +84,6 @@ TENSOR_MAX_CELLS = 8_000_000
 BLOCK_CELLS = 1 << 21
 
 _LOWERED_ATTR = "_tensor_lowered"
-_STATE_CACHE_ATTR = "_tensor_state_cache"
-_STATE_CACHE_LIMIT = 128
 
 # ----------------------------------------------------------------------
 # engine selection
@@ -169,7 +161,7 @@ def lt_array(a, b, tol: float = TOLERANCE) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# complete-information state tensors
+# per-state cost blocks
 # ----------------------------------------------------------------------
 
 def _c_strides(shape: Sequence[int]) -> Tuple[int, ...]:
@@ -227,26 +219,24 @@ def nash_masks(
 
 
 class StateTensor:
-    """One complete-information game in dense index-encoded form.
+    """One support state's cost block in dense index-encoded form.
 
     Axis ``i`` of the conceptual cost cube indexes agent ``i``'s feasible
     actions in feasible-list order; ``costs`` stores the cube flattened
     C-order as ``(k, N)`` so flat indices enumerate profiles in exactly
-    the reference ``itertools.product`` order.
+    the reference ``itertools.product`` order.  Built only by
+    :func:`_lower`'s ``tabulate`` and read through
+    :meth:`TensorGame.state_block`.
     """
 
-    __slots__ = ("actions", "shape", "size", "strides", "costs", "social")
+    __slots__ = ("actions", "shape", "size", "costs", "social")
 
     def __init__(
         self, actions: Sequence[Sequence[Action]], costs: np.ndarray
     ) -> None:
         self.actions = [list(space) for space in actions]
         self.shape = tuple(len(space) for space in self.actions)
-        size = 1
-        for n in self.shape:
-            size *= n
-        self.size = size
-        self.strides = _c_strides(self.shape)
+        self.size = math.prod(self.shape)
         self.costs = costs
         self.social = costs.sum(axis=0)
 
@@ -254,137 +244,9 @@ class StateTensor:
     def num_agents(self) -> int:
         return len(self.actions)
 
-    def decode(self, flat: int) -> ActionProfile:
-        return tuple(
-            space[(flat // stride) % n]
-            for space, stride, n in zip(self.actions, self.strides, self.shape)
-        )
-
-    def encode(self, actions: ActionProfile) -> Optional[int]:
-        """Flat index of ``actions``, or ``None`` if any entry is not in
-        the agent's feasible list (callers then keep the reference path,
-        whose cost callbacks accept arbitrary actions)."""
-        if len(actions) != len(self.actions):
-            return None
-        flat = 0
-        for space, stride, action in zip(self.actions, self.strides, actions):
-            try:
-                position = space.index(action)
-            except ValueError:
-                return None
-            flat += stride * position
-        return flat
-
-    def best_response_dynamics(
-        self, initial: int, max_rounds: int
-    ) -> Optional[int]:
-        """Iterated strict best responses from flat index ``initial``.
-
-        One deviation row per (sweep, agent) — a gather into the
-        tabulated cost matrix — replaces the reference's per-candidate
-        cost callbacks.  Sweep order, the first-feasible ``argmin``
-        tie-break, and the tolerant improvement test reproduce the
-        reference loop step for step, so the visited profile sequence
-        (and hence the fixed point, or the failure to converge) is
-        identical.  Returns the fixed point's flat index, or ``None``
-        after ``max_rounds`` sweeps (the caller raises, preserving the
-        reference error message).
-        """
-        flat = initial
-        deviations = [
-            stride * np.arange(n, dtype=np.int64)
-            for stride, n in zip(self.strides, self.shape)
-        ]
-        for _ in range(max_rounds):
-            changed = False
-            for agent in range(self.num_agents):
-                stride = self.strides[agent]
-                own = (flat // stride) % self.shape[agent]
-                others = flat - stride * own
-                row = self.costs[agent][others + deviations[agent]]
-                best_position = int(row.argmin())
-                if not row[best_position] < float("inf"):
-                    # The reference selects only candidates of finite cost
-                    # and raises when the whole row is +inf.
-                    raise RuntimeError("agent has no actions")
-                if lt(float(row[best_position]), float(row[own])):
-                    flat = others + stride * best_position
-                    changed = True
-            if not changed:
-                return flat
-        return None
-
-    def nash_mask(self) -> np.ndarray:
-        """Boolean mask (flat, C-order) of pure Nash equilibria: the
-        one-lane case of :func:`nash_masks`, raising its error."""
-        masks, errors = nash_masks(self.costs[None], self.shape)
-        if errors[0] is not None:
-            raise errors[0]
-        return masks[0]
-
-    def nash_equilibria(self) -> List[ActionProfile]:
-        return [self.decode(int(flat)) for flat in np.nonzero(self.nash_mask())[0]]
-
-    def nash_extreme_costs(self) -> Optional[Tuple[float, float]]:
-        """``(best, worst)`` Nash social costs, or ``None`` if no pure NE."""
-        mask = self.nash_mask()
-        if not mask.any():
-            return None
-        values = self.social[mask]
-        return float(values.min()), float(values.max())
-
     def optimum(self) -> float:
         """``min_a K_t(a)`` over the feasible product."""
         return float(self.social.min())
-
-
-def lower_underlying(
-    game: UnderlyingGame,
-    max_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
-) -> Optional[StateTensor]:
-    """Lower one complete-information game, or ``None`` if too large."""
-    spaces = [game.actions(agent) for agent in range(game.num_agents)]
-    size = product_size(len(space) for space in spaces)
-    if size > max_profiles or size * game.num_agents > TENSOR_MAX_CELLS:
-        return None
-    return StateTensor(spaces, _tabulate(spaces, game.cost))
-
-
-def maybe_state_tensor(
-    game: UnderlyingGame,
-    max_profiles: int = DEFAULT_MAX_ACTION_PROFILES,
-) -> Optional[StateTensor]:
-    """Cached state lowering honoring the engine switch and guards.
-
-    Reuses the parent game's cached Bayesian lowering (either store)
-    when the state is a support state: a block's axes are exactly
-    ``UnderlyingGame.actions`` (the state types' feasible lists), so the
-    block *is* the state lowering.
-    """
-    if not tensor_enabled():
-        return None
-    parent = game.game
-    profile = tuple(game.profile)
-    lowered = parent.__dict__.get(_LOWERED_ATTR, (None,))[0]
-    index = None if lowered is None else lowered.state_index.get(profile)
-    if index is not None:
-        # Size from geometry: an LRU store never tabulates a block the
-        # guard refuses.
-        if lowered.state_sizes[index] > max_profiles:
-            return None
-        return lowered.state_block(index)
-    cache: Dict[Tuple, StateTensor] = parent.__dict__.setdefault(
-        _STATE_CACHE_ATTR, {}
-    )
-    state = cache.get(profile)
-    if state is None:
-        state = lower_underlying(game, max_profiles)
-        if state is None:
-            return None
-        if len(cache) >= _STATE_CACHE_LIMIT:
-            cache.clear()
-        cache[profile] = state
-    return state if state.size <= max_profiles else None
 
 
 # ----------------------------------------------------------------------
@@ -1105,48 +967,6 @@ class TensorGame:
                 return self.decode_digits(initial, digits)
         raise RuntimeError("Bayesian best-response dynamics did not converge")
 
-    # ------------------------------------------------------------------
-    # benevolent (social-cost) kernels for the NCS coordinate descent
-    # ------------------------------------------------------------------
-    def social_cost_of_digits(self, digits: List[List[int]]) -> float:
-        """``K(s)`` for an encoded profile, folded in prior-support order
-        (bit-identical to ``BayesianGame.social_cost``)."""
-        total = 0.0
-        for s in range(len(self.states)):
-            state = self.state_block(s)
-            flat = 0
-            for j in range(self.num_agents):
-                flat += state.strides[j] * digits[j][self._state_pos[j][s]]
-            total += float(self.probs[s]) * float(state.social[flat])
-        return total
-
-    def social_cost_vector(
-        self, agent: int, tpos: int, digits: List[List[int]]
-    ) -> np.ndarray:
-        """``K(s)`` for every candidate action of ``agent`` at the
-        positive type in position ``tpos``, everything else fixed.
-
-        States whose type for ``agent`` is not at ``tpos`` contribute a
-        constant (broadcast) term; the fold order over support states is
-        the reference's, so each entry matches a full
-        ``BayesianGame.social_cost`` evaluation of that candidate.
-        """
-        n = self.agents[agent].radix[tpos]
-        candidates = np.arange(n, dtype=np.int64)
-        vector = np.zeros(n, dtype=float)
-        for s in range(len(self.states)):
-            state = self.state_block(s)
-            base = 0
-            for j in range(self.num_agents):
-                if j != agent:
-                    base += state.strides[j] * digits[j][self._state_pos[j][s]]
-            if self._state_pos[agent][s] == tpos:
-                index = base + state.strides[agent] * candidates
-            else:
-                index = base + state.strides[agent] * digits[agent][self._state_pos[agent][s]]
-            vector += float(self.probs[s]) * state.social[index]
-        return vector
-
     def __repr__(self) -> str:
         store = (
             "pinned"
@@ -1533,13 +1353,11 @@ def maybe_lower(
 
 
 def drop_lowering(game: BayesianGame) -> None:
-    """Release every lowered form cached on ``game``.
+    """Release the lowering cached on ``game`` (either store, or a
+    cached refusal).
 
-    Clears the cached Bayesian lowering (either store, or a cached
-    refusal) and the per-state :class:`StateTensor` cache.  The next
-    lowering request simply recompiles; nothing about the game itself
-    changes.  The service registry calls this on LRU eviction so evicted
+    The next lowering request simply recompiles; nothing about the game
+    itself changes.  The service registry calls this on LRU eviction so evicted
     sessions actually free their tensors.
     """
     game.__dict__.pop(_LOWERED_ATTR, None)
-    game.__dict__.pop(_STATE_CACHE_ATTR, None)

@@ -128,8 +128,7 @@ class BayesianNCSGame:
         return tensor.maybe_lower(self.game)
 
     def drop_lowering(self) -> None:
-        """Release every lowered form cached on the wrapped core game
-        (the Bayesian lowering and per-state tensors); see
+        """Release the lowering cached on the wrapped core game; see
         :func:`repro.core.tensor.drop_lowering`."""
         from ..core import tensor
 

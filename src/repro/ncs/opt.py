@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .._util import lt
-from ..core import tensor
 from ..core.game import StrategyProfile
 from ..core.measures import opt_p as core_opt_p
 from ..core.session import GameSession
@@ -52,28 +51,10 @@ def benevolent_descent(
     strict improvement.  Returns ``(profile, social_cost)``.  The result is
     a local optimum of the benevolent game — not necessarily ``optP`` —
     and is the natural 'coordinated benevolent agents' baseline for large
-    instances.
-
-    On lowerable games each sweep step gathers the candidate social-cost
-    vector from the tensor engine's per-state social tables
-    (:meth:`~repro.core.tensor.TensorGame.social_cost_vector`) instead of
-    re-evaluating ``game.social_cost`` per candidate; the tolerant
-    keep-current-on-ties fold below is replayed unchanged over that
-    vector, so both paths descend through the identical profile sequence.
-    Games beyond the dense cell guard descend on the same kernels over
-    the LRU block store (blocks tabulated on demand); only games beyond
-    the per-state guard fall back to the per-candidate ``social_cost``
-    loop.
+    instances.  Ties keep the current action.
     """
     strategies = initial if initial is not None else game.greedy_profile()
     core = game.game
-    lowered = tensor.maybe_lower(core)
-    if lowered is not None:
-        digits = lowered.encode_strategies(strategies)
-        if digits is not None:
-            return _benevolent_descent_lowered(
-                game, lowered, strategies, digits, max_rounds
-            )
     current = game.social_cost(strategies)
     for _ in range(max_rounds):
         changed = False
@@ -105,43 +86,3 @@ def benevolent_descent(
             return strategies, current
     raise RuntimeError("benevolent descent did not converge")
 
-
-def _benevolent_descent_lowered(
-    game: BayesianNCSGame,
-    lowered,
-    strategies: StrategyProfile,
-    digits,
-    max_rounds: int,
-) -> Tuple[StrategyProfile, float]:
-    """The tensor-engine inner loop of :func:`benevolent_descent`.
-
-    One gathered social-cost vector per (agent, positive type) step; the
-    candidate scan over it copies the reference fold exactly — feasible
-    order, skip-the-current-action, tolerant ``lt`` against the running
-    best — so ties keep the current action just like the reference.
-    """
-    core = game.game
-    current = lowered.social_cost_of_digits(digits)
-    for _ in range(max_rounds):
-        changed = False
-        for agent in range(game.num_agents):
-            for ti in game.prior.positive_types(agent):
-                tpos = core.type_position(agent, ti)
-                vector = lowered.social_cost_vector(agent, tpos, digits)
-                own = digits[agent][tpos]
-                best_position = own
-                best_cost = current
-                for position in range(len(vector)):
-                    if position == own:
-                        continue
-                    cost = float(vector[position])
-                    if lt(cost, best_cost):
-                        best_cost = cost
-                        best_position = position
-                if best_position != own:
-                    digits[agent][tpos] = best_position
-                    current = best_cost
-                    changed = True
-        if not changed:
-            return lowered.decode_digits(strategies, digits), current
-    raise RuntimeError("benevolent descent did not converge")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -53,6 +52,7 @@ from typing import (
     Type,
 )
 
+from .._util import nearest_rank
 from ..analysis.table1 import CellResult
 from ..core.tensor import engine_override, get_engine
 from .cache import ResultCache
@@ -575,11 +575,6 @@ def unit_timings(sweep_runs: Sequence[SweepRun]) -> Dict[str, List[Dict[str, Any
     return timings
 
 
-def _nearest_rank(sorted_values: Sequence[float], q: int) -> float:
-    rank = max(1, math.ceil(q / 100.0 * len(sorted_values)))
-    return float(sorted_values[rank - 1])
-
-
 def timing_summary(
     sweep_runs: Sequence[SweepRun],
 ) -> Dict[str, Dict[str, Any]]:
@@ -605,8 +600,8 @@ def timing_summary(
                 "total_seconds": round(sum(executed), 6),
             }
             if executed:
-                row["p50_seconds"] = round(_nearest_rank(executed, 50), 6)
-                row["p95_seconds"] = round(_nearest_rank(executed, 95), 6)
+                row["p50_seconds"] = round(nearest_rank(executed, 50), 6)
+                row["p95_seconds"] = round(nearest_rank(executed, 95), 6)
                 row["max_seconds"] = round(executed[-1], 6)
             summary[scenario_run.spec.scenario_id] = row
     return summary

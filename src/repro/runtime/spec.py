@@ -216,11 +216,6 @@ class ScenarioSpec:
             merged[key] = tuple(values)
         return replace(self, grid=_freeze_grid(merged))
 
-    def with_fixed(self, **params: Scalar) -> "ScenarioSpec":
-        merged = dict(self.fixed)
-        merged.update(params)
-        return replace(self, fixed=_freeze_params(merged))
-
     # ------------------------------------------------------------------
     # hashing / serialization
     # ------------------------------------------------------------------

@@ -398,6 +398,8 @@ class _Handler(BaseHTTPRequestHandler):
         if initial is not None:
             game = entry.session.game
             spaces = [game.actions(i) for i in range(game.num_agents)]
+            # Feasibility matters only at positive-probability types: the
+            # dynamics never read an action at the others.
             valid = (
                 isinstance(initial, tuple)
                 and len(initial) == len(spaces)
@@ -407,11 +409,18 @@ class _Handler(BaseHTTPRequestHandler):
                     and all(action in spaces[i] for action in strategy)
                     for i, strategy in enumerate(initial)
                 )
+                and all(
+                    initial[i][game.type_position(i, ti)]
+                    in game.feasible_actions(i, ti)
+                    for i in range(len(spaces))
+                    for ti in game.prior.positive_types(i)
+                )
             )
             if not valid:
                 raise RequestError(
                     400, "bad-request", "initial must hold one tuple per agent "
-                    "with one action per type from that agent's action space"
+                    "with one action per type from that agent's action space, "
+                    "feasible at every positive-probability type"
                 )
         try:
             with entry.session.lock:

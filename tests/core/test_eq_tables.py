@@ -78,21 +78,18 @@ def _brute_force_row(lowered, agent, row):
     ``{joint_cell: (good, bad)}``."""
     _tpos, cond_states, weights, n_dev = lowered._cond[agent][row]
     states = [lowered.state_block(s) for s in cond_states]
+    strides = [lowered.state_strides[s][agent] for s in cond_states]
     joint_strides = tensor._c_strides([state.size for state in states])
     verdicts = {}
     for cells in product(*(range(state.size) for state in states)):
-        owns = {
-            (cell // state.strides[agent]) % n_dev
-            for cell, state in zip(cells, states)
-        }
+        owns = {(cell // stride) % n_dev for cell, stride in zip(cells, strides)}
         if len(owns) != 1:
             continue  # never gathered: the agent's digit is shared
         (own,) = owns
         interim = []
         for deviation in range(n_dev):
             total = 0.0
-            for q, cell, state in zip(weights, cells, states):
-                stride = state.strides[agent]
+            for q, cell, state, stride in zip(weights, cells, states, strides):
                 moved = cell + stride * (deviation - own)
                 total += float(q) * float(state.costs[agent][moved])
             interim.append(total)

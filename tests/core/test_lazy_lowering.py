@@ -40,8 +40,8 @@ from repro.core.tensor import (
     engine_override,
     lower_game,
     maybe_lower,
-    maybe_state_tensor,
 )
+from repro._util import ExplosionError
 
 
 def skew_game() -> BayesianGame:
@@ -183,7 +183,7 @@ class TestLowerGameLazy:
         assert lazy.state_shapes == dense.state_shapes == [b.shape for b in blocks]
         assert lazy.state_sizes == dense.state_sizes == [b.size for b in blocks]
         assert lazy.state_strides == dense.state_strides == [
-            b.strides for b in blocks
+            tensor._c_strides(b.shape) for b in blocks
         ]
         assert lazy.total_cells == dense.total_cells == sum(
             b.size * b.num_agents for b in blocks
@@ -327,28 +327,67 @@ class TestMaybeLowerModes:
         assert maybe_lower(game) is not lowered  # recompiled
 
     def test_maybe_state_tensor_reuses_lazy_blocks(self, monkeypatch):
+        """A session's state optimum reads the LRU lowering's block: one
+        miss, no second tabulation, the reference value."""
         monkeypatch.setattr(tensor, "TENSOR_MAX_CELLS", 1)
         game = skew_game()
-        lazy = maybe_lower(game)
+        session = GameSession(game)
+        lazy = session._kernel()
         assert _is_lru(lazy)
-        state = game.prior.support()[0][0]
-        underlying = game.underlying_game(state)
-        block = maybe_state_tensor(underlying)
-        assert block is lazy.state_block(lazy.state_index[tuple(state)])
-        # Per-call guard below the block size: refuse, don't materialize.
-        assert maybe_state_tensor(underlying, max_profiles=1) is None
+        state = tuple(game.prior.support()[0][0])
+        value = session.state_optimum(state)
+        stats = lazy.cache_stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)
+        with engine_override("reference"):
+            assert value == GameSession(skew_game()).state_optimum(state)
+        _assert_state_guard_raises_reference_error(game, state)
         assert _tensor_attrs(game) == [_LOWERED_ATTR]
 
-    def test_maybe_state_tensor_reuses_pinned_blocks(self):
+    def test_maybe_state_tensor_reuses_pinned_blocks(self, monkeypatch):
+        """A session's state optimum reads the pinned lowering's block:
+        no tabulation and no cost call after lowering, the reference
+        value."""
         game = skew_game()
-        dense = maybe_lower(game)
+        session = GameSession(game)
+        dense = session._kernel()
         assert dense.pinned
-        state = game.prior.support()[1][0]
-        underlying = game.underlying_game(state)
-        block = maybe_state_tensor(underlying)
-        assert block is dense.state_block(dense.state_index[tuple(state)])
-        assert maybe_state_tensor(underlying, max_profiles=1) is None
+        calls = []
+        real_tabulate, real_cost = tensor._tabulate, game.cost
+
+        def counting_tabulate(*args):
+            calls.append("tabulate")
+            return real_tabulate(*args)
+
+        def counting_cost(*args):
+            calls.append("cost")
+            return real_cost(*args)
+
+        monkeypatch.setattr(tensor, "_tabulate", counting_tabulate)
+        monkeypatch.setattr(game, "cost", counting_cost)
+        state = tuple(game.prior.support()[1][0])
+        value = session.state_optimum(state)
+        assert calls == []
+        monkeypatch.undo()
+        assert value == dense.state_block(dense.state_index[state]).optimum()
+        with engine_override("reference"):
+            assert value == GameSession(skew_game()).state_optimum(state)
+        _assert_state_guard_raises_reference_error(game, state)
         assert _tensor_attrs(game) == [_LOWERED_ATTR]
+
+
+def _assert_state_guard_raises_reference_error(game, state) -> None:
+    """Under a per-state guard below the state's size the lowering is
+    refused and the state optimum raises the reference enumeration's
+    :class:`ExplosionError`."""
+    session = GameSession(game, max_action_profiles=1)
+    assert session._kernel() is None
+    with pytest.raises(ExplosionError) as lowered:
+        session.state_optimum(state)
+    with engine_override("reference"):
+        with pytest.raises(ExplosionError) as reference:
+            GameSession(skew_game(), max_action_profiles=1).state_optimum(state)
+    assert str(lowered.value) == str(reference.value)
+    assert "action profiles" in str(lowered.value)
 
 
 # ----------------------------------------------------------------------

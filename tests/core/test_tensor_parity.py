@@ -9,6 +9,7 @@ and ratios agree to tolerance.
 """
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ import pytest
 from repro.core import (
     BayesianGame,
     CommonPrior,
+    GameSession,
     MatrixGame,
     bayesian_equilibrium_extreme_costs,
     engine_override,
+    enumerate_action_profiles,
     enumerate_bayesian_equilibria,
     enumerate_nash_equilibria,
     eq_c,
@@ -36,7 +39,7 @@ from repro.core.tensor import (
     StateTensor,
     TensorGame,
     lt_array,
-    maybe_state_tensor,
+    nash_masks,
 )
 from repro.core.strategy import DEFAULT_MAX_PROFILES
 from repro._util import TOLERANCE, ExplosionError, lt
@@ -230,18 +233,30 @@ class TestBayesianParity:
                 )
 
 
+def _assert_block_nash_matches(block, is_nash):
+    """The pure-Nash fold on one lowered cost block agrees with the
+    reference verdict ``is_nash(actions)`` profile by profile, in the
+    block's C-order (the reference enumeration order)."""
+    masks, errors = nash_masks(block.costs[None], block.shape)
+    assert errors == [None]
+    profiles = list(product(*block.actions))
+    assert len(profiles) == block.size == masks.shape[1]
+    for flat, actions in enumerate(profiles):
+        assert bool(masks[0, flat]) is is_nash(actions), actions
+
+
 class TestNashParity:
     @pytest.mark.parametrize(
         "matrix", (prisoners_dilemma, coordination_game, matching_pennies)
     )
     def test_underlying_nash_sets_exact(self, matrix):
-        def compute(game):
-            return enumerate_nash_equilibria(game.underlying_game((0, 0)))
-
-        reference, tensorized = _both_engines(
-            compute, lambda: matrix().to_bayesian()
+        game = matrix().to_bayesian()
+        lowered = lower_game(game)
+        assert lowered is not None and lowered.states == [(0, 0)]
+        reference = enumerate_nash_equilibria(game.underlying_game((0, 0)))
+        _assert_block_nash_matches(
+            lowered.state_block(0), lambda actions: actions in reference
         )
-        assert reference == tensorized
 
     def test_no_nash_raises_in_both_engines(self):
         for engine in ("reference", "auto"):
@@ -270,9 +285,9 @@ class TestNashParity:
         rng = np.random.default_rng(7)
         for _ in range(10):
             game = MatrixGame.random((3, 4, 2), rng)
-            with engine_override("reference"):
-                reference = game.nash_equilibria()
-            assert game.nash_equilibria() == reference
+            lowered = lower_game(game.to_bayesian())
+            assert lowered is not None
+            _assert_block_nash_matches(lowered.state_block(0), game.is_nash)
 
 
 class TestGuards:
@@ -286,8 +301,18 @@ class TestGuards:
                 bayesian_equilibrium_extreme_costs(matching_state_game(), 3)
 
     def test_oversized_state_refuses_to_lower(self, matching_state):
-        underlying = matching_state.underlying_game((0, 0))
-        assert maybe_state_tensor(underlying, max_profiles=1) is None
+        """A guard below a state's size refuses the lowering, so the
+        state optimum raises the reference enumeration's error."""
+        session = GameSession(matching_state, max_action_profiles=1)
+        assert session._kernel() is None
+        with pytest.raises(ExplosionError, match="action profiles") as lowered:
+            session.state_optimum((0, 0))
+        with engine_override("reference"):
+            with pytest.raises(ExplosionError) as reference:
+                GameSession(
+                    matching_state_game(), max_action_profiles=1
+                ).state_optimum((0, 0))
+        assert str(lowered.value) == str(reference.value)
 
     def test_oversized_game_refuses_to_lower(self):
         assert lower_game(matching_state_game(), max_action_profiles=1) is None
@@ -322,10 +347,17 @@ class TestLoweringInternals:
         assert lowered.states == [(0, 0), (1, 0)]
         state = lowered.state_block(0)
         assert isinstance(state, StateTensor)
-        # C-order decode reproduces itertools.product over feasible lists.
-        assert [state.decode(flat) for flat in range(state.size)] == [
-            (0, 0), (0, 1), (1, 0), (1, 1),
-        ]
+        # Flat C-order cells follow the reference enumeration of the
+        # feasible lists, and each cell holds that profile's costs.
+        underlying = matching_state.underlying_game((0, 0))
+        profiles = list(enumerate_action_profiles(underlying))
+        assert profiles == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert list(product(*state.actions)) == profiles
+        for flat, actions in enumerate(profiles):
+            assert state.costs[:, flat].tolist() == [
+                underlying.cost(agent, actions) for agent in range(2)
+            ]
+            assert state.social[flat] == underlying.social_cost(actions)
 
     def test_profile_decode_covers_reference_order(self, matching_state):
         from repro.core.strategy import enumerate_strategy_profiles

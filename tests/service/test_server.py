@@ -194,6 +194,23 @@ class TestErrorBodies:
         valid, _ = random_profiles(spec)
         assert all(99 not in space for space in spec.action_spaces)
         path = f"/v1/games/{game_key}/dynamics"
+        # Agent 0's types: one of positive probability and one of zero
+        # probability each forbid an action of the agent's action space.
+        positive = set(spec.build().prior.positive_types(0))
+        forbidden = {
+            ti: [a for a in spec.action_spaces[0] if a not in spec.feasible[(0, ti)]]
+            for ti in spec.type_spaces[0]
+        }
+        hot = next(ti for ti in spec.type_spaces[0] if ti in positive and forbidden[ti])
+        cold = next(
+            ti for ti in spec.type_spaces[0] if ti not in positive and forbidden[ti]
+        )
+
+        def with_agent0_action(ti, action):
+            strategy = list(valid[0])
+            strategy[spec.type_spaces[0].index(ti)] = action
+            return (tuple(strategy),) + valid[1:]
+
         malformed = [
             5,
             "x",
@@ -203,16 +220,20 @@ class TestErrorBodies:
             encode_result(()),
             encode_result((valid[0] + valid[0][:1],) + valid[1:]),
             encode_result(((99,) + valid[0][1:],) + valid[1:]),
+            encode_result(with_agent0_action(hot, forbidden[hot][0])),
         ]
         for initial in malformed:
             status, body = raw_request(server, "POST", path, {"initial": initial})
             assert status == 400, (initial, body)
             assert body["error"]["code"] == "bad-request"
             assert "initial must hold" in body["error"]["message"]
-        status, body = raw_request(
-            server, "POST", path, {"initial": encode_result(valid)}
-        )
-        assert status == 200, body
+        # The dynamics never read a zero-probability type's action, so an
+        # infeasible one there is still a valid start.
+        for initial in (valid, with_agent0_action(cold, forbidden[cold][0])):
+            status, body = raw_request(
+                server, "POST", path, {"initial": encode_result(initial)}
+            )
+            assert status == 200, (initial, body)
 
     def test_unknown_measure_reraises_value_error(self, client):
         game_key = client.submit(spec_for_seed(0))
