@@ -19,7 +19,7 @@ one game.
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .._util import ExplosionError, lt, product_size
 from . import tensor
@@ -178,15 +178,13 @@ def is_bayesian_equilibrium(game: BayesianGame, strategies: StrategyProfile) -> 
     """Interim characterization: no type of any agent strictly gains.
 
     Only positive-probability types are checked (deviations elsewhere do
-    not change ex-ante costs), matching the paper's definition.
+    not change ex-ante costs), matching the paper's definition.  A
+    one-shot session call: every (agent, type) best response shares the
+    session's lowering.
     """
-    for agent in range(game.num_agents):
-        for ti in game.prior.positive_types(agent):
-            current = game.interim_cost(agent, ti, strategies)
-            _, best = interim_best_response(game, agent, ti, strategies)
-            if lt(best, current):
-                return False
-    return True
+    from .session import GameSession
+
+    return GameSession(game).is_bayesian_equilibrium(strategies)
 
 
 def enumerate_bayesian_equilibria(

@@ -41,7 +41,6 @@ table.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -135,28 +134,6 @@ def _component(pair: Tuple[float, float], kind: str, what: str):
     )
 
 
-# ----------------------------------------------------------------------
-# memoized scan results
-# ----------------------------------------------------------------------
-
-@dataclass
-class _Scan:
-    """Aggregates of one reference-path strategy-profile enumeration.
-
-    ``equilibria`` is populated only when the scan was asked to collect
-    (mirroring the tensor sweep's ``collect_equilibria``); the extremes
-    are running folds either way, so an extremes-only scan stays O(1)
-    in memory like the free reference path.
-    """
-
-    opt_p: float
-    argmin: Optional[StrategyProfile]
-    best_eq: float
-    worst_eq: float
-    eq_found: bool
-    equilibria: Optional[List[StrategyProfile]] = None
-
-
 def _raise_memoized(error: BaseException, traceback) -> None:
     """Re-raise a memoized error from its *original* traceback.
 
@@ -176,12 +153,12 @@ class GameSession:
     game:
         The Bayesian game to serve queries over.
     engine:
-        Evaluation engine for every call made through this session
-        (``auto`` / ``reference``).  Defaults to the
-        *effective engine at construction time* — the context-scoped
-        override if one is active, else the process default — and stays
-        pinned for the session's lifetime, so concurrent sessions on
-        different engines cannot race each other.
+        Evaluation engine (``auto`` / ``reference``), applied where the
+        session lowers its game.  Defaults to the *effective engine at
+        construction time* — the context-scoped override if one is
+        active, else the process default — and stays pinned for the
+        session's lifetime, so concurrent sessions on different engines
+        cannot race each other.
     state_solver:
         Optional session plugin replacing the per-state optimum
         enumeration inside ``optC`` (e.g. an exact Steiner solver).
@@ -215,8 +192,6 @@ class GameSession:
         self._lowered_entry: Optional[Tuple[Optional[tensor.TensorGame]]] = None
         #: (need_eq, collect) -> ("ok", ProfileSweep) | ("err", (error, tb))
         self._sweeps: Dict[Tuple[bool, bool], Tuple[str, Any]] = {}
-        #: (need_eq, collect) -> ("ok", _Scan) | ("err", (error, tb))
-        self._scans: Dict[Tuple[bool, bool], Tuple[str, Any]] = {}
         #: everything else: key -> ("ok", value) | ("err", (error, tb))
         self._memo: Dict[Any, Tuple[str, Any]] = {}
         #: Reuse hook for long-lived, shared sessions: the memo dicts are
@@ -229,12 +204,6 @@ class GameSession:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @contextmanager
-    def _scope(self):
-        """All session work runs under the session's pinned engine."""
-        with tensor.engine_override(self.engine):
-            yield
-
     def _memoized(self, key: Any, compute: Callable[[], Any]) -> Any:
         entry = self._memo.get(key)
         if entry is None:
@@ -252,9 +221,10 @@ class GameSession:
         """The game's lowering, computed (at most) once, on whichever
         block store :func:`~repro.core.tensor.maybe_lower` picked — or
         ``None`` (reference path).  Both stores run the same kernels, so
-        every dispatch site below is store-agnostic."""
+        every dispatch site below is store-agnostic.  The lowering is the
+        one decision the session's engine pin governs."""
         if self._lowered_entry is None:
-            with self._scope():
+            with tensor.engine_override(self.engine):
                 self._lowered_entry = (
                     tensor.maybe_lower(self.game, self.max_action_profiles),
                 )
@@ -294,16 +264,11 @@ class GameSession:
         return True
 
     # ------------------------------------------------------------------
-    # the two shared enumeration primitives
+    # the one shared enumeration
     # ------------------------------------------------------------------
-    @staticmethod
-    def _served(
-        memo: Dict[Tuple[bool, bool], Tuple[str, Any]],
-        need_eq: bool,
-        collect: bool,
-    ) -> Optional[Tuple[str, Any]]:
-        """The memo entry that serves a request, or ``None``: the
-        capability lattice shared by both enumeration memos.
+    def _served(self, need_eq: bool, collect: bool) -> Optional[Tuple[str, Any]]:
+        """The :meth:`_enumeration` memo entry that serves a request, or
+        ``None``: the capability lattice.
 
         A cached result serves any request it subsumes.  A cached *error*
         serves only where the matching free function would raise it: a
@@ -315,112 +280,75 @@ class GameSession:
         like the free function).
         """
         need_eq = need_eq or collect
-        for (eq, col), entry in memo.items():
+        for (eq, col), entry in self._sweeps.items():
             if entry[0] == "ok" and (eq or not need_eq) and (col or not collect):
                 return entry
-        for (eq, _), entry in memo.items():
+        for (eq, _), entry in self._sweeps.items():
             if entry[0] == "err" and (
                 not eq or need_eq or isinstance(entry[1][0], ExplosionError)
             ):
                 return entry
         return None
 
-    def _capable(
-        self,
-        memo: Dict[Tuple[bool, bool], Tuple[str, Any]],
-        need_eq: bool,
-        collect: bool,
-        run: Callable[[bool, bool], Any],
-    ) -> Any:
-        """The :meth:`_served` result (or re-raised error), else
-        ``run(need_eq, collect)`` under the session's engine, memoized
-        outcome and all."""
+    def _enumeration(self, need_eq: bool, collect: bool = False) -> tensor.ProfileSweep:
+        """The memoized pass over the strategy profiles at (at least) the
+        given capability (see :meth:`_served`): the lowered profile
+        sweep, else the reference scan.  Either way ``argmin_index`` and
+        ``eq_indices`` are positions in
+        :func:`~repro.core.strategy.enumerate_strategy_profiles` order."""
         need_eq = need_eq or collect
-        served = self._served(memo, need_eq, collect)
-        if served is not None:
-            kind, payload = served
-            if kind == "err":
-                _raise_memoized(*payload)
-            return payload
-        try:
-            with self._scope():
-                result = run(need_eq, collect)
-        except Exception as error:
-            memo[(need_eq, collect)] = ("err", (error, error.__traceback__))
-            raise
-        memo[(need_eq, collect)] = ("ok", result)
-        return result
-
-    def _profile_sweep(self, need_eq: bool, collect: bool) -> tensor.ProfileSweep:
-        """Memoized blocked sweep at (at least) the given capability
-        (see :meth:`_served`)."""
-
-        def run(need_eq: bool, collect: bool) -> tensor.ProfileSweep:
+        entry = self._served(need_eq, collect)
+        if entry is None:
             lowered = self._kernel()
-            assert lowered is not None, "profile sweep needs a lowered game"
-            return lowered.sweep_profiles(
-                self.max_strategy_profiles,
-                collect_equilibria=collect,
-                check_equilibria=need_eq,
-            )
+            try:
+                if lowered is not None:
+                    result = lowered.sweep_profiles(
+                        self.max_strategy_profiles,
+                        collect_equilibria=collect,
+                        check_equilibria=need_eq,
+                    )
+                else:
+                    result = self._reference_sweep(need_eq, collect)
+                entry = ("ok", result)
+            except Exception as error:
+                entry = ("err", (error, error.__traceback__))
+            self._sweeps[(need_eq, collect)] = entry
+        kind, payload = entry
+        if kind == "err":
+            _raise_memoized(*payload)
+        return payload
 
-        return self._capable(self._sweeps, need_eq, collect, run)
-
-    def _sweep_cached(self, need_eq: bool, collect: bool) -> bool:
-        """Whether :meth:`_profile_sweep` would answer from cache, so the
-        batched dispatch can skip games the memo already covers — warm
-        service sessions never pay a redundant kernel pass."""
-        return self._served(self._sweeps, need_eq, collect) is not None
-
-    def _reference_scan(self, need_eq: bool, collect: bool = False) -> _Scan:
-        """Memoized reference-path enumeration (one pass, all aggregates).
-
-        Folds run in the exact free-function order — profiles in
-        ``enumerate_strategy_profiles`` order, running ``min``/``max``
-        updates — so every value is bit-identical to the corresponding
-        free function's own enumeration.  The same capability lattice as
-        :meth:`_profile_sweep` applies (see :meth:`_served`).
-        """
-        return self._capable(self._scans, need_eq, collect, self._run_reference_scan)
-
-    def _enumeration(
-        self, need_eq: bool, collect: bool = False
-    ) -> tensor.ProfileSweep | _Scan:
-        """The memoized pass at (at least) the given capability: the
-        lowered profile sweep, else the reference scan.  Both carry
-        ``opt_p``, ``best_eq``, ``worst_eq`` and ``eq_found``."""
-        if self._kernel() is not None:
-            return self._profile_sweep(need_eq, collect)
-        return self._reference_scan(need_eq, collect)
-
-    def _run_reference_scan(self, need_eq: bool, collect: bool) -> _Scan:
+    def _reference_sweep(self, need_eq: bool, collect: bool) -> tensor.ProfileSweep:
+        """The reference scan: profiles in ``enumerate_strategy_profiles``
+        order with running ``min``/``max`` folds, so every value is
+        bit-identical to the free functions' own enumeration, and an
+        extremes-only scan stays O(1) in memory."""
         opt = float("inf")
-        argmin: Optional[StrategyProfile] = None
+        argmin = -1
         best_eq = float("inf")
         worst_eq = float("-inf")
         eq_found = False
-        equilibria: Optional[List[StrategyProfile]] = [] if collect else None
-        for strategies in enumerate_strategy_profiles(
-            self.game, self.max_strategy_profiles
+        eq_indices: Optional[List[int]] = [] if collect else None
+        for index, strategies in enumerate(
+            enumerate_strategy_profiles(self.game, self.max_strategy_profiles)
         ):
             cost = self.game.social_cost(strategies)
             if cost < opt:
                 opt = cost
-                argmin = strategies
-            if need_eq and self._is_bayesian_equilibrium(strategies):
-                if equilibria is not None:
-                    equilibria.append(strategies)
+                argmin = index
+            if need_eq and self.is_bayesian_equilibrium(strategies):
+                if eq_indices is not None:
+                    eq_indices.append(index)
                 best_eq = min(best_eq, cost)
                 worst_eq = max(worst_eq, cost)
                 eq_found = True
-        return _Scan(
-            opt_p=opt,
-            argmin=argmin,
-            best_eq=best_eq,
-            worst_eq=worst_eq,
-            eq_found=eq_found,
-            equilibria=equilibria,
-        )
+        return tensor.ProfileSweep(opt, argmin, best_eq, worst_eq, eq_found, eq_indices)
+
+    def _decode(self, indices: Iterable[int]) -> List[StrategyProfile]:
+        """The profiles at :meth:`_enumeration` positions ``indices``."""
+        lowered = self._kernel()
+        agents = tensor.agent_spaces(self.game) if lowered is None else lowered.agents
+        return [tensor.decode_profile(agents, index) for index in indices]
 
     # ------------------------------------------------------------------
     # measures (each mirrors its free function exactly)
@@ -431,35 +359,24 @@ class GameSession:
 
     def optimal_profile(self) -> Tuple[StrategyProfile, float]:
         """An ``optP``-achieving profile (first minimizer) and its cost."""
-        lowered = self._kernel()
-        if lowered is not None:
-            sweep = self._profile_sweep(need_eq=False, collect=False)
-            assert sweep.argmin_index >= 0
-            return lowered.decode_profile(sweep.argmin_index), sweep.opt_p
-        scan = self._reference_scan(need_eq=False)
-        assert scan.argmin is not None
-        return scan.argmin, scan.opt_p
+        sweep = self._enumeration(need_eq=False)
+        assert sweep.argmin_index >= 0
+        return self._decode([sweep.argmin_index])[0], sweep.opt_p
 
     def equilibrium_extreme_costs(self) -> Tuple[float, float]:
         """``(best-eqP, worst-eqP)`` over all pure Bayesian equilibria."""
-        scan = self._enumeration(need_eq=True)
-        if not scan.eq_found:
+        sweep = self._enumeration(need_eq=True)
+        if not sweep.eq_found:
             raise RuntimeError(f"{self.game!r} has no pure Bayesian equilibrium")
-        return scan.best_eq, scan.worst_eq
+        return sweep.best_eq, sweep.worst_eq
 
     def bayesian_equilibria(self) -> List[StrategyProfile]:
         """All pure Bayesian equilibria (collected once, copied out)."""
-        lowered = self._kernel()
-        if lowered is not None:
-            def decode() -> List[StrategyProfile]:
-                sweep = self._profile_sweep(need_eq=True, collect=True)
-                assert sweep.eq_indices is not None
-                return [lowered.decode_profile(index) for index in sweep.eq_indices]
 
-            return list(self._memoized(("equilibria",), decode))
-        scan = self._reference_scan(need_eq=True, collect=True)
-        assert scan.equilibria is not None
-        return list(scan.equilibria)
+        def decode() -> List[StrategyProfile]:
+            return self._decode(self._enumeration(need_eq=True, collect=True).eq_indices)
+
+        return list(self._memoized(("equilibria",), decode))
 
     def state_optimum(self, profile: TypeProfile) -> float:
         """``min_a K_t(a)`` for one type profile (memoized per state):
@@ -468,18 +385,17 @@ class GameSession:
         profile = tuple(profile)
 
         def compute() -> float:
-            with self._scope():
-                lowered = self._kernel()
-                s = None if lowered is None else lowered.state_index.get(profile)
-                if s is not None:
-                    return lowered.state_block(s).optimum()
-                underlying = self.game.underlying_game(profile)
-                return min(
-                    underlying.social_cost(actions)
-                    for actions in enumerate_action_profiles(
-                        underlying, self.max_action_profiles
-                    )
+            lowered = self._kernel()
+            s = None if lowered is None else lowered.state_index.get(profile)
+            if s is not None:
+                return lowered.state_block(s).optimum()
+            underlying = self.game.underlying_game(profile)
+            return min(
+                underlying.social_cost(actions)
+                for actions in enumerate_action_profiles(
+                    underlying, self.max_action_profiles
                 )
+            )
 
         return self._memoized(("state_opt", profile), compute)
 
@@ -488,10 +404,9 @@ class GameSession:
         profile = tuple(profile)
 
         def compute() -> Tuple[float, float]:
-            with self._scope():
-                return nash_extreme_costs(
-                    self.game.underlying_game(profile), self.max_action_profiles
-                )
+            return nash_extreme_costs(
+                self.game.underlying_game(profile), self.max_action_profiles
+            )
 
         return self._memoized(("nash_extremes", profile), compute)
 
@@ -502,14 +417,11 @@ class GameSession:
         the same support in the same order, so they agree bit for bit."""
 
         def compute() -> float:
-            with self._scope():
-                if self.state_solver is None:
-                    lowered = self._kernel()
-                    if lowered is not None:
-                        return lowered.opt_c()
-                return self.game.prior.expect(
-                    self.state_solver or self.state_optimum
-                )
+            if self.state_solver is None:
+                lowered = self._kernel()
+                if lowered is not None:
+                    return lowered.opt_c()
+            return self.game.prior.expect(self.state_solver or self.state_optimum)
 
         return self._memoized(("opt_c",), compute)
 
@@ -517,17 +429,16 @@ class GameSession:
         """``(best-eqC, worst-eqC)``: expected extreme Nash costs."""
 
         def compute() -> Tuple[float, float]:
-            with self._scope():
-                lowered = self._kernel()
-                if lowered is not None:
-                    return lowered.eq_c()
-                best_total = 0.0
-                worst_total = 0.0
-                for profile, prob in self.game.prior.support():
-                    best, worst = self._nash_extreme_costs(profile)
-                    best_total += prob * best
-                    worst_total += prob * worst
-                return best_total, worst_total
+            lowered = self._kernel()
+            if lowered is not None:
+                return lowered.eq_c()
+            best_total = 0.0
+            worst_total = 0.0
+            for profile, prob in self.game.prior.support():
+                best, worst = self._nash_extreme_costs(profile)
+                best_total += prob * best
+                worst_total += prob * worst
+            return best_total, worst_total
 
         return self._memoized(("eq_c",), compute)
 
@@ -552,10 +463,11 @@ class GameSession:
         report.verify_observation_2_2()
         return report
 
-    def _is_bayesian_equilibrium(self, strategies: StrategyProfile) -> bool:
-        """The interim characterization, over the session's own interim
-        machinery (identical dispatch, values, and error path as the
-        free :func:`repro.core.equilibrium.is_bayesian_equilibrium`)."""
+    def is_bayesian_equilibrium(self, strategies: StrategyProfile) -> bool:
+        """Interim characterization: no positive-probability type of any
+        agent strictly gains, over the session's own interim machinery
+        (the one implementation behind
+        :func:`repro.core.equilibrium.is_bayesian_equilibrium`)."""
         for agent in range(self.game.num_agents):
             for ti in self.game.prior.positive_types(agent):
                 current = self.game.interim_cost(agent, ti, strategies)
@@ -572,24 +484,21 @@ class GameSession:
     ) -> Tuple[Action, float]:
         """Best action of ``agent`` at type ``ti`` against ``strategies``
         (shares the session's lowering; not memoized — profiles vary)."""
-        with self._scope():
-            lowered = self._kernel()
-            if lowered is not None:
-                result = lowered.interim_best_response(agent, ti, strategies)
-                if result is not None:
-                    return result
-            best_action: Optional[Action] = None
-            best_cost = float("inf")
-            for candidate in self.game.feasible_actions(agent, ti):
-                cost = self.game.interim_cost_of_action(
-                    agent, ti, candidate, strategies
-                )
-                if cost < best_cost:
-                    best_cost = cost
-                    best_action = candidate
-            if best_action is None:  # pragma: no cover - feasible sets non-empty
-                raise RuntimeError("agent has no feasible actions")
-            return best_action, best_cost
+        lowered = self._kernel()
+        if lowered is not None:
+            result = lowered.interim_best_response(agent, ti, strategies)
+            if result is not None:
+                return result
+        best_action: Optional[Action] = None
+        best_cost = float("inf")
+        for candidate in self.game.feasible_actions(agent, ti):
+            cost = self.game.interim_cost_of_action(agent, ti, candidate, strategies)
+            if cost < best_cost:
+                best_cost = cost
+                best_action = candidate
+        if best_action is None:  # pragma: no cover - feasible sets non-empty
+            raise RuntimeError("agent has no feasible actions")
+        return best_action, best_cost
 
     def best_response_dynamics(
         self,
@@ -603,31 +512,30 @@ class GameSession:
         otherwise), but the lowering and the conditional expected-cost
         tables are the session's shared copies.
         """
-        with self._scope():
-            strategies = (
-                initial if initial is not None else greedy_strategy_profile(self.game)
-            )
-            lowered = self._kernel()
-            if lowered is not None:
-                result = lowered.best_response_dynamics(strategies, max_rounds)
-                if result is not None:
-                    return result
-            for _ in range(max_rounds):
-                changed = False
-                for agent in range(self.game.num_agents):
-                    for ti in self.game.prior.positive_types(agent):
-                        current = self.game.interim_cost(agent, ti, strategies)
-                        best_action, best_cost = self.interim_best_response(
-                            agent, ti, strategies
+        strategies = (
+            initial if initial is not None else greedy_strategy_profile(self.game)
+        )
+        lowered = self._kernel()
+        if lowered is not None:
+            result = lowered.best_response_dynamics(strategies, max_rounds)
+            if result is not None:
+                return result
+        for _ in range(max_rounds):
+            changed = False
+            for agent in range(self.game.num_agents):
+                for ti in self.game.prior.positive_types(agent):
+                    current = self.game.interim_cost(agent, ti, strategies)
+                    best_action, best_cost = self.interim_best_response(
+                        agent, ti, strategies
+                    )
+                    if lt(best_cost, current):
+                        strategies = replace_strategy_action(
+                            self.game, strategies, agent, ti, best_action
                         )
-                        if lt(best_cost, current):
-                            strategies = replace_strategy_action(
-                                self.game, strategies, agent, ti, best_action
-                            )
-                            changed = True
-                if not changed:
-                    return strategies
-            raise RuntimeError("Bayesian best-response dynamics did not converge")
+                        changed = True
+            if not changed:
+                return strategies
+        raise RuntimeError("Bayesian best-response dynamics did not converge")
 
     # ------------------------------------------------------------------
     # the query planner
@@ -873,7 +781,7 @@ class BatchSession:
         with session.lock:
             target = session._sweeps if store == "sweeps" else session._memo
             if store == "sweeps":
-                if session._sweep_cached(*key):
+                if session._served(*key) is not None:
                     return
             elif key in target:
                 return
@@ -905,7 +813,7 @@ class BatchSession:
             todo = [
                 position
                 for position, session in enumerate(sessions)
-                if not session._sweep_cached(*key)
+                if session._served(*key) is None
             ]
             if todo:
                 sweeps, errors = batch.sweep_profiles(

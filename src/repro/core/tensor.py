@@ -280,6 +280,24 @@ class _AgentSpace:
         )
 
 
+def agent_spaces(game: BayesianGame) -> List[_AgentSpace]:
+    """Every agent's :class:`_AgentSpace` over :func:`per_type_choices`,
+    the per-type action lists the reference enumeration walks — the
+    whole parity contract hinges on sharing them."""
+    return [_AgentSpace(per_type_choices(game, i)) for i in range(game.num_agents)]
+
+
+def decode_profile(agents: Sequence[_AgentSpace], flat: int) -> StrategyProfile:
+    """The strategy profile at position ``flat`` of the C-order product
+    of the agents' spaces (the last agent varies fastest), which is
+    :func:`~repro.core.strategy.enumerate_strategy_profiles` order."""
+    strategies = []
+    for agent in reversed(agents):
+        flat, index = divmod(flat, agent.exact_count)
+        strategies.append(agent.decode(index))
+    return tuple(reversed(strategies))
+
+
 @dataclass
 class ProfileSweep:
     """Aggregates of one blocked pass over the strategy-profile space."""
@@ -512,10 +530,7 @@ class TensorGame:
         return product_size(agent.count for agent in self.agents)
 
     def decode_profile(self, flat: int) -> StrategyProfile:
-        return tuple(
-            agent.decode((flat // stride) % agent.exact_count)
-            for agent, stride in zip(self.agents, self.profile_strides)
-        )
+        return decode_profile(self.agents, flat)
 
     def _block_size(self, group: int = 1) -> int:
         """Profiles per sweep block, keeping ``group``-lane temporaries
@@ -1261,9 +1276,7 @@ def _lower(
     probs = np.array([prob for _, prob in support], dtype=float)
     k = game.num_agents
 
-    # per_type_choices is the same per-type action lists the reference
-    # enumeration walks — the whole parity contract hinges on sharing it.
-    agents = [_AgentSpace(per_type_choices(game, i)) for i in range(k)]
+    agents = agent_spaces(game)
 
     state_spaces: List[List[List[Action]]] = []
     total_cells = 0.0

@@ -1008,7 +1008,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         server = ServiceServer(
             (args.host, port),
             capacity=capacity,
-            engine=args.engine,
+            session_config={"engine": args.engine},
             verbose=args.verbose,
         )
     except OSError as error:

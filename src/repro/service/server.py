@@ -37,10 +37,12 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._util import ExplosionError
-from ..core.session import BatchSession, query
+from ..core.game import BayesianGame
+from ..core.measures import DENOMINATORS, NUMERATORS
+from ..core.session import BatchSession, Query, query
 from .codec import (
     CodecError,
     decode_result,
@@ -79,6 +81,75 @@ class RequestError(Exception):
         if self.data:
             error["data"] = self.data
         return {"error": error}
+
+
+def check_query(item: Query, game: BayesianGame) -> None:
+    """The parameter rules a query must meet before ``game`` evaluates it.
+
+    Every POST path runs this one check, so a malformed parameter is the
+    request's fault (400 ``bad-request``) on every endpoint, never an
+    error inside the evaluation.  Measures it does not know are left to
+    the session, which answers them with its own errors.
+    """
+    params = item.kwargs
+    if item.measure == "dynamics":
+        max_rounds = params.get("max_rounds", 10_000)
+        if type(max_rounds) is not int or max_rounds < 1:  # bool is an int
+            raise RequestError(
+                400, "bad-request", f"max_rounds must be a positive int, "
+                f"got {max_rounds!r}"
+            )
+        initial = params.get("initial")
+        if initial is None:
+            return
+        spaces = [game.actions(i) for i in range(game.num_agents)]
+        # Feasibility matters only at positive-probability types: the
+        # dynamics never read an action at the others.
+        valid = (
+            isinstance(initial, tuple)
+            and len(initial) == len(spaces)
+            and all(
+                isinstance(strategy, tuple)
+                and len(strategy) == len(game.types(i))
+                and all(action in spaces[i] for action in strategy)
+                for i, strategy in enumerate(initial)
+            )
+            and all(
+                initial[i][game.type_position(i, ti)]
+                in game.feasible_actions(i, ti)
+                for i in range(len(spaces))
+                for ti in game.prior.positive_types(i)
+            )
+        )
+        if not valid:
+            raise RequestError(
+                400, "bad-request", "initial must hold one tuple per agent "
+                "with one action per type from that agent's action space, "
+                "feasible at every positive-probability type"
+            )
+    elif item.measure == "state_optimum":
+        profile = params.get("profile")
+        if not (
+            isinstance(profile, tuple)
+            and len(profile) == game.num_agents
+            and all(ti in game.types(i) for i, ti in enumerate(profile))
+        ):
+            raise RequestError(
+                400, "bad-request", "profile must be a tuple holding one type "
+                f"per agent from that agent's type space, got {profile!r}"
+            )
+    elif item.measure == "ratio":
+        for name, labels in (("numerator", NUMERATORS), ("denominator", DENOMINATORS)):
+            if params.get(name) not in labels:
+                raise RequestError(
+                    400, "bad-request",
+                    f"{name} must be one of {labels}, got {params.get(name)!r}",
+                )
+
+
+def internal_error(error: BaseException) -> RequestError:
+    """The 500 body of a failure nothing else maps."""
+    return RequestError(500, "internal", repr(error))
 
 
 def evaluation_error(error: BaseException) -> RequestError:
@@ -163,34 +234,19 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    @staticmethod
-    def _endpoint_name(method: str, path: str) -> str:
-        if method == "GET" and path in ("/health", "/metrics"):
-            return path[1:]
-        if method == "POST" and path == "/v1/games":
-            return "submit"
-        if method == "POST" and path == "/v1/batch/evaluate":
-            return "batch-evaluate"
-        match = _GAME_PATH.match(path)
-        if match and method == "POST":
-            return match.group(2)
-        return "other"
-
     def _dispatch(self, method: str) -> None:
         started = time.perf_counter()
-        endpoint = self._endpoint_name(method, self.path.split("?", 1)[0])
+        endpoint, handler = self._route(method, self.path.split("?", 1)[0])
         status = 500
         try:
-            _, status, payload = self._route(method)
+            status, payload = handler()
         except RequestError as error:
             status, payload = error.status, error.body()
         except BrokenPipeError:  # pragma: no cover - client went away
             return
-        except Exception as error:  # pragma: no cover - defensive 500
-            status = 500
-            payload = {
-                "error": {"code": "internal", "message": repr(error)}
-            }
+        except Exception as error:  # defensive 500
+            failure = internal_error(error)
+            status, payload = failure.status, failure.body()
         try:
             self._send_json(status, payload)
         except BrokenPipeError:  # pragma: no cover - client went away
@@ -210,30 +266,36 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _route(self, method: str) -> Tuple[str, int, Dict[str, Any]]:
-        path = self.path.split("?", 1)[0]
+    def _route(
+        self, method: str, path: str
+    ) -> Tuple[str, Callable[[], Tuple[int, Dict[str, Any]]]]:
+        """The endpoint's metric name and the handler that answers it."""
         if method == "GET" and path == "/health":
-            return "health", 200, self._health()
+            return "health", self._health
         if method == "GET" and path == "/metrics":
-            return "metrics", 200, self.server.metrics.snapshot()
+            return "metrics", lambda: (200, self.server.metrics.snapshot())
         if method == "POST" and path == "/v1/games":
-            return ("submit",) + self._submit()
+            return "submit", self._submit
         if method == "POST" and path == "/v1/batch/evaluate":
-            return ("batch-evaluate",) + self._batch_evaluate()
+            return "batch-evaluate", self._batch_evaluate
         match = _GAME_PATH.match(path)
         if match and method == "POST":
             key, action = match.groups()
             if action == "evaluate":
-                return ("evaluate",) + self._evaluate(key)
-            return ("dynamics",) + self._dynamics(key)
-        raise RequestError(
-            404, "unknown-endpoint", f"no route for {method} {path}"
-        )
+                return "evaluate", lambda: self._evaluate(key)
+            return "dynamics", lambda: self._dynamics(key)
 
-    def _health(self) -> Dict[str, Any]:
+        def unknown() -> Tuple[int, Dict[str, Any]]:
+            raise RequestError(
+                404, "unknown-endpoint", f"no route for {method} {path}"
+            )
+
+        return "other", unknown
+
+    def _health(self) -> Tuple[int, Dict[str, Any]]:
         from .. import __version__
 
-        return {
+        return 200, {
             "status": "ok",
             "version": __version__,
             "games": len(self.server.registry),
@@ -291,23 +353,43 @@ class _Handler(BaseHTTPRequestHandler):
                 400, "bad-request", f"malformed query bundle: {error!r}"
             ) from None
 
+    def _answer(self, key: str, items: Any) -> List[Any]:
+        """Parse → entry → check → evaluate: the one path that answers a
+        query bundle against one registered game."""
+        queries = self._parse_queries(items)
+        entry = self._entry(key)
+        for item in queries:
+            check_query(item, entry.session.game)
+        try:
+            with entry.session.lock:
+                return entry.session.evaluate(queries)
+        except Exception as error:
+            raise evaluation_error(error) from None
+
     def _evaluate(self, key: str) -> Tuple[int, Dict[str, Any]]:
         payload = self._read_json()
         if not isinstance(payload, dict) or "queries" not in payload:
             raise RequestError(
                 400, "bad-request", 'evaluate body must be {"queries": [...]}'
             )
-        queries = self._parse_queries(payload["queries"])
-        entry = self._entry(key)
-        try:
-            with entry.session.lock:
-                values = entry.session.evaluate(queries)
-        except Exception as error:
-            raise evaluation_error(error) from None
+        values = self._answer(key, payload["queries"])
         return 200, {
             "hash": key,
             "values": [encode_result(value) for value in values],
         }
+
+    def _dynamics(self, key: str) -> Tuple[int, Dict[str, Any]]:
+        """``/evaluate`` of the one ``dynamics`` query the body holds."""
+        payload = self._read_json()
+        if not isinstance(payload, dict):
+            raise RequestError(400, "bad-request", "dynamics body must be an object")
+        params = {
+            name: payload[name]
+            for name in ("initial", "max_rounds")
+            if name in payload
+        }
+        [fixed_point] = self._answer(key, [{"measure": "dynamics", "params": params}])
+        return 200, {"hash": key, "fixed_point": encode_result(fixed_point)}
 
     def _batch_evaluate(self) -> Tuple[int, Dict[str, Any]]:
         """Evaluate one measure bundle over many game specs in one call.
@@ -316,10 +398,11 @@ class _Handler(BaseHTTPRequestHandler):
         the lowering, and vice versa), all registered games go through
         :meth:`BatchSession.evaluate_many` — structure-of-arrays kernels
         where the games lower, the looped path otherwise — and each game
-        gets its own result row.  A game that fails (a malformed spec, or
-        an evaluation error on any cell) contributes a structured error
-        body in its row; the other rows are unaffected and the call as a
-        whole still answers 200.
+        gets its own result row.  A game that fails (a malformed spec, a
+        failed :func:`check_query`, or an evaluation error on any cell,
+        mapped or not) contributes a structured error body in its row;
+        the other rows are unaffected and the call as a whole still
+        answers 200.
         """
         payload = self._read_json()
         if (
@@ -348,6 +431,16 @@ class _Handler(BaseHTTPRequestHandler):
                 failure = RequestError(409, "hash-collision", str(error))
                 rows[position] = {"status": 409, **failure.body()}
             else:
+                try:
+                    for item in queries:
+                        check_query(item, entry.session.game)
+                except RequestError as failure:
+                    rows[position] = {
+                        "hash": entry.game_hash,
+                        "status": failure.status,
+                        **failure.body(),
+                    }
+                    continue
                 entries.append(entry)
                 positions.append(position)
         if entries:
@@ -361,7 +454,10 @@ class _Handler(BaseHTTPRequestHandler):
                     None,
                 )
                 if failed is not None:
-                    failure = evaluation_error(failed)
+                    try:
+                        failure = evaluation_error(failed)
+                    except Exception as error:  # unmapped: this game's 500
+                        failure = internal_error(error)
                     rows[position] = {
                         "hash": entry.game_hash,
                         "status": failure.status,
@@ -374,63 +470,6 @@ class _Handler(BaseHTTPRequestHandler):
                     }
         return 200, {"count": len(rows), "results": rows}
 
-    def _dynamics(self, key: str) -> Tuple[int, Dict[str, Any]]:
-        payload = self._read_json()
-        if not isinstance(payload, dict):
-            raise RequestError(400, "bad-request", "dynamics body must be an object")
-        try:
-            initial = (
-                decode_result(payload["initial"])
-                if payload.get("initial") is not None
-                else None
-            )
-        except CodecError as error:
-            raise RequestError(
-                400, "bad-request", f"malformed initial profile: {error!r}"
-            ) from None
-        max_rounds = payload.get("max_rounds", 10_000)
-        if type(max_rounds) is not int or max_rounds < 1:  # bool is an int
-            raise RequestError(
-                400, "bad-request", f"max_rounds must be a positive int, "
-                f"got {max_rounds!r}"
-            )
-        entry = self._entry(key)
-        if initial is not None:
-            game = entry.session.game
-            spaces = [game.actions(i) for i in range(game.num_agents)]
-            # Feasibility matters only at positive-probability types: the
-            # dynamics never read an action at the others.
-            valid = (
-                isinstance(initial, tuple)
-                and len(initial) == len(spaces)
-                and all(
-                    isinstance(strategy, tuple)
-                    and len(strategy) == len(game.types(i))
-                    and all(action in spaces[i] for action in strategy)
-                    for i, strategy in enumerate(initial)
-                )
-                and all(
-                    initial[i][game.type_position(i, ti)]
-                    in game.feasible_actions(i, ti)
-                    for i in range(len(spaces))
-                    for ti in game.prior.positive_types(i)
-                )
-            )
-            if not valid:
-                raise RequestError(
-                    400, "bad-request", "initial must hold one tuple per agent "
-                    "with one action per type from that agent's action space, "
-                    "feasible at every positive-probability type"
-                )
-        try:
-            with entry.session.lock:
-                fixed_point = entry.session.best_response_dynamics(
-                    initial=initial, max_rounds=max_rounds
-                )
-        except Exception as error:
-            raise evaluation_error(error) from None
-        return 200, {"hash": key, "fixed_point": encode_result(fixed_point)}
-
 
 class ServiceServer(ThreadingHTTPServer):
     """The long-lived session server (one registry, one metrics sink)."""
@@ -442,7 +481,6 @@ class ServiceServer(ThreadingHTTPServer):
         address: Tuple[str, int] = ("127.0.0.1", 0),
         *,
         capacity: int = DEFAULT_CAPACITY,
-        engine: Optional[str] = None,
         session_config: Optional[Dict[str, Any]] = None,
         registry: Optional[SessionRegistry] = None,
         metrics: Optional[ServiceMetrics] = None,
@@ -450,11 +488,8 @@ class ServiceServer(ThreadingHTTPServer):
     ) -> None:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         if registry is None:
-            config = dict(session_config or {})
-            if engine is not None:
-                config["engine"] = engine
             registry = SessionRegistry(
-                capacity, session_config=config, metrics=self.metrics
+                capacity, session_config=session_config, metrics=self.metrics
             )
         self.registry = registry
         self.verbose = verbose
@@ -482,7 +517,10 @@ def start_local_server(**config: Any) -> Tuple[ServiceServer, threading.Thread]:
     """
     server = ServiceServer(("127.0.0.1", 0), **config)
     thread = threading.Thread(
-        target=server.serve_forever, name="repro-service", daemon=True
+        target=server.serve_forever,
+        kwargs={"poll_interval": 0.05},  # so shutdown() returns promptly
+        name="repro-service",
+        daemon=True,
     )
     thread.start()
     return server, thread

@@ -237,16 +237,17 @@ class TestErrorMemoization:
             assert raised_depth() == second
 
     def test_reference_extremes_do_not_materialize_equilibria(self):
-        """An extremes-only reference scan keeps O(1) memory (running
+        """An extremes-only reference pass keeps O(1) memory (running
         folds), exactly like the free reference path it replaces."""
         with engine_override("reference"):
             session = GameSession(matching_state_game())
             session.equilibrium_extreme_costs()
-            (kind, scan) = session._scans[(True, False)]
-            assert kind == "ok" and scan.equilibria is None
-            # Asking for the set afterwards upgrades to a collecting scan.
+            assert session.lowered() is None
+            (kind, sweep) = session._sweeps[(True, False)]
+            assert kind == "ok" and sweep.eq_indices is None
+            # Asking for the set afterwards upgrades to a collecting pass.
             assert session.bayesian_equilibria()
-            assert session._scans[(True, True)][1].equilibria
+            assert session._sweeps[(True, True)][1].eq_indices
 
 
 class TestEngineScoping:

@@ -41,6 +41,41 @@ def raw_request(server, method, path, payload=None):
         connection.close()
 
 
+#: The POST paths a ``dynamics`` query can take.
+DYNAMICS_PATHS = ("dynamics", "evaluate", "batch")
+
+
+def dynamics_request(server, path, spec, params):
+    """Send ``params`` as one ``dynamics`` query for ``spec`` on ``path``.
+
+    Returns ``(status, body)`` of the game's answer: the response for the
+    single-game paths, the game's own row (its ``status``, 200 when the
+    row holds values) for the batch endpoint, which itself must answer 200.
+    """
+    if path == "batch":
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {
+                "games": [{"game": spec_to_wire(spec)}],
+                "queries": [{"measure": "dynamics", "params": params}],
+            },
+        )
+        assert status == 200, body
+        row = body["results"][0]
+        return row.get("status", 200), row
+    status, body = raw_request(
+        server, "POST", "/v1/games", {"game": spec_to_wire(spec)}
+    )
+    assert status in (200, 201), body
+    url = f"/v1/games/{body['hash']}/{path}"
+    if path == "dynamics":
+        return raw_request(server, "POST", url, params)
+    return raw_request(
+        server, "POST", url,
+        {"queries": [{"measure": "dynamics", "params": params}]},
+    )
+
+
 class TestEndpoints:
     def test_health(self, server, client):
         from repro import __version__
@@ -171,29 +206,27 @@ class TestErrorBodies:
             assert body["error"]["code"] == "bad-request"
             assert "malformed query bundle" in body["error"]["message"]
 
-    def test_bad_max_rounds_400(self, server, client):
-        game_key = client.submit(spec_for_seed(0))
-        with pytest.raises(RemoteServiceError) as excinfo:
-            client.dynamics(game_key, max_rounds=0)
-        assert excinfo.value.status == 400
+    @pytest.mark.parametrize("path", DYNAMICS_PATHS)
+    def test_bad_max_rounds_400(self, server, path):
+        spec = spec_for_seed(0)
         # A JSON bool is a Python int; it must not pass as one round.
-        status, body = raw_request(
-            server, "POST", f"/v1/games/{game_key}/dynamics", {"max_rounds": True}
-        )
-        assert status == 400
-        assert body["error"]["code"] == "bad-request"
-        assert "max_rounds must be a positive int" in body["error"]["message"]
+        for max_rounds in (0, True):
+            status, body = dynamics_request(
+                server, path, spec, {"max_rounds": max_rounds}
+            )
+            assert status == 400, (max_rounds, body)
+            assert body["error"]["code"] == "bad-request"
+            assert "max_rounds must be a positive int" in body["error"]["message"]
 
-    def test_malformed_initial_400(self, server, client):
+    @pytest.mark.parametrize("path", DYNAMICS_PATHS)
+    def test_malformed_initial_400(self, server, path):
         """An ``initial`` that is not a strategy profile of the game is a
         bad request, not an error inside the dynamics."""
         from repro.service.codec import encode_result
 
         spec = spec_for_seed(3)
-        game_key = client.submit(spec)
         valid, _ = random_profiles(spec)
         assert all(99 not in space for space in spec.action_spaces)
-        path = f"/v1/games/{game_key}/dynamics"
         # Agent 0's types: one of positive probability and one of zero
         # probability each forbid an action of the agent's action space.
         positive = set(spec.build().prior.positive_types(0))
@@ -223,17 +256,88 @@ class TestErrorBodies:
             encode_result(with_agent0_action(hot, forbidden[hot][0])),
         ]
         for initial in malformed:
-            status, body = raw_request(server, "POST", path, {"initial": initial})
+            status, body = dynamics_request(server, path, spec, {"initial": initial})
             assert status == 400, (initial, body)
             assert body["error"]["code"] == "bad-request"
             assert "initial must hold" in body["error"]["message"]
         # The dynamics never read a zero-probability type's action, so an
         # infeasible one there is still a valid start.
         for initial in (valid, with_agent0_action(cold, forbidden[cold][0])):
-            status, body = raw_request(
-                server, "POST", path, {"initial": encode_result(initial)}
+            status, body = dynamics_request(
+                server, path, spec, {"initial": encode_result(initial)}
             )
             assert status == 200, (initial, body)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            query("state_optimum", profile=5),
+            query("state_optimum", profile=(0,)),
+            query("state_optimum", profile=(99, 99)),
+            query("state_optimum"),
+            query("ratio", numerator="optP"),
+            query("ratio", numerator="optP", denominator="nope"),
+            query("ratio", numerator=["optP"], denominator="optC"),
+        ],
+        ids=[
+            "profile-not-a-tuple",
+            "profile-wrong-arity",
+            "profile-unknown-types",
+            "profile-missing",
+            "denominator-missing",
+            "denominator-unknown",
+            "numerator-not-a-label",
+        ],
+    )
+    def test_malformed_query_params_400(self, server, client, bad):
+        """``state_optimum``'s profile and ``ratio``'s labels are checked
+        before evaluation, on the single-game and the batch path."""
+        spec = spec_for_seed(0)
+        game_key = client.submit(spec)
+        with pytest.raises(RemoteServiceError) as excinfo:
+            client.evaluate(game_key, [query("opt_p"), bad])
+        assert excinfo.value.status == 400
+        assert excinfo.value.code == "bad-request"
+        rows = client.evaluate_many(
+            [spec, spec_for_seed(1)], [bad], on_error="return"
+        )
+        assert isinstance(rows[0], RemoteServiceError)
+        assert rows[0].status == 400 and rows[0].code == "bad-request"
+        assert isinstance(rows[1], RemoteServiceError)
+
+    def test_unmapped_evaluation_error_is_a_500(self):
+        """An evaluation failure outside the mapped error types answers
+        500 ``internal`` on ``/evaluate`` and becomes only that game's row
+        on the batch endpoint."""
+        broken = spec_for_seed(1)
+
+        class Faulty(GameSession):
+            def opt_c(self):
+                raise TypeError("injected")
+
+        def factory(spec):
+            return (Faulty if spec == broken else GameSession)(spec.build())
+
+        registry = SessionRegistry(4, session_factory=factory)
+        server, _thread = start_local_server(registry=registry)
+        try:
+            with ServiceClient(server.host, server.port) as client:
+                game_key = client.submit(broken)
+                with pytest.raises(RemoteServiceError) as excinfo:
+                    client.evaluate(game_key, ["opt_c"])
+                assert excinfo.value.status == 500
+                assert excinfo.value.code == "internal"
+                assert "injected" in excinfo.value.remote_message
+                healthy = spec_for_seed(0)
+                rows = client.evaluate_many(
+                    [healthy, broken], ["opt_c"], on_error="return"
+                )
+            assert rows[0] == GameSession(healthy.build()).evaluate(["opt_c"])
+            assert isinstance(rows[1], RemoteServiceError)
+            assert rows[1].status == 500 and rows[1].code == "internal"
+        finally:
+            server.shutdown()
+            server.server_close()
 
     def test_unknown_measure_reraises_value_error(self, client):
         game_key = client.submit(spec_for_seed(0))

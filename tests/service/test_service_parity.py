@@ -127,11 +127,13 @@ def test_http_matches_in_process_on_fuzz_corpus(parity_server, chunk):
 def test_parity_holds_with_the_engine_pinned(engine):
     """Servers pinned to either engine agree with equally pinned sessions.
 
-    ``--engine`` on the CLI (and ``engine=`` on :class:`ServiceServer`)
-    pins every served session; parity must hold per engine, not just
-    under the process default.
+    ``--engine`` on the CLI (``session_config={"engine": ...}`` on
+    :class:`ServiceServer`) pins every served session; parity must hold
+    per engine, not just under the process default.
     """
-    server, _thread = start_local_server(capacity=16, engine=engine)
+    server, _thread = start_local_server(
+        capacity=16, session_config={"engine": engine}
+    )
     try:
         with ServiceClient(server.host, server.port, client_id=engine) as client:
             for seed in range(6):
