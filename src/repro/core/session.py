@@ -83,8 +83,17 @@ class Query:
         return dict(self.params)
 
 
+def _frozen(value: Any) -> Any:
+    """``value`` with every list, nested in lists or tuples, a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_frozen, value))
+    return value
+
+
 def query(measure: str, **params: Any) -> Query:
-    """``query("eq_c", kind="worst")`` → a frozen :class:`Query`."""
+    """``query("eq_c", kind="worst")`` → a frozen :class:`Query`; list
+    parameters, nested ones too, become tuples."""
+    params = {name: _frozen(value) for name, value in params.items()}
     return Query(measure=measure, params=tuple(sorted(params.items())))
 
 
@@ -619,9 +628,10 @@ class BatchSession:
     structure-of-arrays fast path buckets lowerable games by
     :func:`repro.core.tensor.batch_signature` — same per-agent feasible
     radices, same support shapes — stacks each bucket's cost tensors on
-    a leading game axis (:class:`repro.core.tensor.BatchTensorGame`),
-    and runs the bundle's profile sweep, ``eq_c`` / ``opt_c`` folds, and
-    best-response dynamics as single NumPy calls per bucket.  Kernel
+    a leading game axis (:func:`repro.core.tensor.stack_lanes`), and
+    runs :class:`~repro.core.tensor.TensorGame`'s lane kernels (the
+    profile sweep, the ``eq_c`` / ``opt_c`` folds, best-response
+    dynamics) as single NumPy calls per bucket.  Kernel
     results land in each game's own session memo at exactly the keys
     the looped path would fill, so every row is still answered by the
     session's own ``_answer`` — per-game fold order, tie-breaks, and
@@ -676,6 +686,8 @@ class BatchSession:
         ``on_error="capture"`` places the exception object in that
         game's row cell instead, so one failing game cannot hide the
         other games' results (the service batch endpoint uses this).
+        A bundle the planner refuses (an unknown measure) fails every
+        cell of every row with its ``ValueError``, before any work.
         """
         if kernels not in ("auto", "loop"):
             raise ValueError(
@@ -690,9 +702,15 @@ class BatchSession:
             item if isinstance(item, Query) else query(str(item))
             for item in queries
         ]
+        try:
+            requirements = _requirements(normalized)
+        except ValueError as error:
+            if on_error == "raise" and self.sessions:
+                raise
+            return [[error] * len(normalized) for _ in self.sessions]
         extras: Dict[Tuple[int, Query], Tuple[str, Any]] = {}
         if kernels != "loop" and self.sessions:
-            extras = self._batch_dispatch(normalized)
+            extras = self._batch_dispatch(normalized, requirements)
         rows: List[List[Any]] = []
         for index, session in enumerate(self.sessions):
             with session.lock:
@@ -747,13 +765,8 @@ class BatchSession:
         }
 
     def _batch_dispatch(
-        self, normalized: Sequence[Query]
+        self, normalized: Sequence[Query], requirements: Tuple[bool, bool, bool]
     ) -> Dict[Tuple[int, Query], Tuple[str, Any]]:
-        try:
-            need_sweep, need_eq, collect = _requirements(normalized)
-        except ValueError:
-            return {}  # the per-game planner raises it for every row
-        measures = {item.measure for item in normalized}
         extras: Dict[Tuple[int, Query], Tuple[str, Any]] = {}
         buckets, _fallback = self._buckets()
         for (max_profiles, _signature), indices in buckets.items():
@@ -765,14 +778,8 @@ class BatchSession:
             limit = max(1, tensor.TENSOR_MAX_CELLS // max(1, cells))
             for start in range(0, len(indices), limit):
                 self._run_bucket(
-                    indices[start:start + limit],
-                    max_profiles,
-                    normalized,
-                    measures,
-                    need_sweep,
-                    need_eq,
-                    collect,
-                    extras,
+                    indices[start:start + limit], max_profiles, normalized,
+                    requirements, extras,
                 )
         return extras
 
@@ -795,19 +802,25 @@ class BatchSession:
         indices: List[int],
         max_profiles: int,
         normalized: Sequence[Query],
-        measures: set,
-        need_sweep: bool,
-        need_eq: bool,
-        collect: bool,
+        requirements: Tuple[bool, bool, bool],
         extras: Dict[Tuple[int, Query], Tuple[str, Any]],
     ) -> None:
+        need_sweep, need_eq, collect = requirements
+        measures = {item.measure for item in normalized}
         sessions = [self.sessions[index] for index in indices]
-        batch = tensor.BatchTensorGame(
-            [session.lowered() for session in sessions]
-        )
+        lowered = [session.lowered() for session in sessions]
+        template = lowered[0]
+        lanes = tensor.stack_lanes(lowered)
+
+        def stacked(todo: List[int]) -> tensor.Lanes:
+            """The lanes of the bucket positions ``todo``: the bucket's
+            stack, restacked only for a strict subset."""
+            if len(todo) == len(lowered):
+                return lanes
+            return tensor.stack_lanes([lowered[position] for position in todo])
 
         def sweep(need_eq: bool, collect: bool) -> None:
-            """One batched sweep over the sessions whose memo does not
+            """One lane sweep over the sessions whose memo does not
             already serve ``(need_eq, collect)``, filled into their memos."""
             key = (need_eq, collect)
             todo = [
@@ -816,11 +829,8 @@ class BatchSession:
                 if session._served(*key) is None
             ]
             if todo:
-                sweeps, errors = batch.sweep_profiles(
-                    max_profiles,
-                    collect_equilibria=collect,
-                    check_equilibria=need_eq,
-                    subset=todo,
+                sweeps, errors = template._sweep_lanes(
+                    stacked(todo), max_profiles, collect, need_eq
                 )
                 for position, result, error in zip(todo, sweeps, errors):
                     self._fill(sessions[position], "sweeps", key, result, error)
@@ -838,29 +848,33 @@ class BatchSession:
                 if ("eq_c",) not in session._memo
             ]
             if todo:
-                pairs, errors = batch.eq_c(subset=todo)
+                pairs, errors = template._eq_c_lanes(stacked(todo))
                 for position, pair, error in zip(todo, pairs, errors):
                     self._fill(sessions[position], "memo", ("eq_c",), pair, error)
         if "state_optimum" in measures:
-            optima = batch.state_optima()
+            states = range(len(template.states))
+            optima = [lanes.blocks(s)[1].min(axis=1).tolist() for s in states]
             for position, session in enumerate(sessions):
-                for s, profile in enumerate(session.lowered().states):
-                    value = float(optima[position, s])
+                for s, profile in enumerate(lowered[position].states):
+                    value = optima[s][position]
                     self._fill(session, "memo", ("state_opt", profile), value, None)
         if measures & {"opt_c", "ignorance_report", "ratio"}:
-            totals = batch.opt_c()
+            totals = template._opt_c_lanes(lanes)
             for position, session in enumerate(sessions):
                 if session.state_solver is None:
                     value = float(totals[position])
                     self._fill(session, "memo", ("opt_c",), value, None)
         if "dynamics" in measures:
-            self._run_bucket_dynamics(indices, sessions, batch, normalized, extras)
+            self._run_bucket_dynamics(
+                indices, sessions, lowered, stacked, normalized, extras
+            )
 
     def _run_bucket_dynamics(
         self,
         indices: List[int],
         sessions: List[GameSession],
-        batch: "tensor.BatchTensorGame",
+        lowered: List[tensor.TensorGame],
+        stacked: Callable[[List[int]], tensor.Lanes],
         normalized: Sequence[Query],
         extras: Dict[Tuple[int, Query], Tuple[str, Any]],
     ) -> None:
@@ -880,7 +894,7 @@ class BatchSession:
                     if initial is not None
                     else greedy_strategy_profile(session.game)
                 )
-                digits = session.lowered().encode_strategies(start)
+                digits = lowered[position].encode_strategies(start)
                 if digits is None:
                     continue  # non-encodable: the session keeps the
                     # reference loop, exactly like the per-game path
@@ -889,14 +903,14 @@ class BatchSession:
                 templates[position] = start
             if not digit_rows:
                 continue
-            results, errors = batch.best_response_digits(
-                digit_rows, max_rounds, subset=positions
+            results, errors = lowered[0]._dynamics_lanes(
+                stacked(positions), digit_rows, max_rounds
             )
             for position, result, error in zip(positions, results, errors):
                 if error is not None:
                     extras[(indices[position], item)] = ("err", error)
                 else:
-                    profile = sessions[position].lowered().decode_digits(
+                    profile = lowered[position].decode_digits(
                         templates[position], result
                     )
                     extras[(indices[position], item)] = ("ok", profile)

@@ -310,6 +310,38 @@ class ProfileSweep:
     eq_indices: Optional[List[int]] = None
 
 
+@dataclass(eq=False)
+class Lanes:
+    """``G`` lanes that share one lowering's structure: the data every
+    lane kernel of :class:`TensorGame` reads.
+
+    A game is its own zero-copy one-lane view (:meth:`TensorGame.lanes`)
+    and a bucket of same-signature games a stacked view
+    (:func:`stack_lanes`).  ``probs`` is ``(G, S)``; ``blocks(s)``
+    returns state ``s``'s ``(G, k, N_s)`` costs and ``(G, N_s)`` social
+    costs; ``weights[i][r]`` is the ``(G, m)`` posterior weights of
+    agent ``i``'s row ``r``; ``tables()`` is the lanes'
+    :func:`equilibrium_tables` (``None`` sends every row to the gather).
+
+    Lanes never mix: elementwise ops touch one lane each, the running
+    ``min``/``argmin`` folds are exact and keep the first occurrence,
+    and every error *condition* is a per-profile property of one lane,
+    so no lane's result depends on the other lanes or on the block
+    size.  The kernels return one error slot per lane holding the exact
+    exception the lane's game alone raises (same type, same message); a
+    failing lane keeps its place (its result is discarded), so one bad
+    game never poisons the others.  The one all-lanes error is the
+    :class:`ExplosionError` guard: one signature means one profile
+    count, so it trips for every lane or none.
+    """
+
+    games: List[TensorGame]
+    probs: np.ndarray
+    blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]]
+    weights: Sequence[Sequence[np.ndarray]]
+    tables: Callable[[], Optional[List[List[Optional[_RowTable]]]]]
+
+
 class _RowTable:
     """The factored equilibrium check of one (agent, positive type) row.
 
@@ -578,48 +610,45 @@ class TensorGame:
         :class:`ExplosionError` exactly when the reference
         strategy-profile enumeration would.
 
-        The one-lane case of :meth:`_sweep_lanes`, over zero-copy views.
+        The one-lane case of :meth:`_sweep_lanes`, over :meth:`lanes`.
         """
         sweeps, errors = self._sweep_lanes(
-            self.probs[None],
-            self._lane_block,
-            self._lane_weights,
-            self._equilibrium_tables,
-            max_profiles,
-            collect_equilibria,
-            check_equilibria,
+            self.lanes(), max_profiles, collect_equilibria, check_equilibria
         )
         if errors[0] is not None:
             raise errors[0]
         return sweeps[0]
 
-    def _lane_block(self, s: int) -> Tuple[np.ndarray, np.ndarray]:
-        """State ``s``'s costs and social costs as one-lane views, the
-        ``blocks(s)`` form the lane kernels read."""
-        state = self.state_block(s)
-        return state.costs[None], state.social[None]
+    def lanes(self) -> Lanes:
+        """This game as a zero-copy one-lane :class:`Lanes` view: ``[None]``
+        views of its blocks, read through :meth:`state_block` (so the LRU
+        store sees the same block reads), and its cached tables."""
+
+        def blocks(s: int) -> Tuple[np.ndarray, np.ndarray]:
+            state = self.state_block(s)
+            return state.costs[None], state.social[None]
+
+        return Lanes(
+            [self], self.probs[None], blocks, self._lane_weights,
+            self._equilibrium_tables,
+        )
 
     def _sweep_lanes(
         self,
-        probs: np.ndarray,
-        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        cond_weights: Sequence[Sequence[np.ndarray]],
-        tables: Callable[[], Optional[List[List[Optional[_RowTable]]]]],
+        lanes: Lanes,
         max_profiles: int,
         collect_equilibria: bool,
         check_equilibria: bool,
     ) -> Tuple[List[Optional[ProfileSweep]], List[Optional[BaseException]]]:
-        """The blocked profile sweep over ``G`` lanes that share this
+        """The blocked profile sweep over ``lanes``, which share this
         lowering's structure (``G = 1`` for a single game).
 
-        ``probs`` is ``(G, S)``; ``blocks(s)`` returns state ``s``'s
-        ``(G, k, N_s)`` costs and ``(G, N_s)`` social costs;
-        ``cond_weights[i][r]`` is the ``(G, m)`` weights of agent ``i``'s
-        row ``r``.  ``tables()`` runs once, after the guard and only when
-        the check does; a ``None`` table sends its row to the gather.
+        ``lanes.tables()`` runs once, after the guard and only when the
+        check does; a ``None`` table sends its row to the gather.
         Returns ``(sweeps, errors)`` with exactly one ``None`` per lane;
         the sweep stops once every lane has errored.
         """
+        probs, blocks, cond_weights = lanes.probs, lanes.blocks, lanes.weights
         group = probs.shape[0]
         total_f = self.profile_count()
         if total_f > max_profiles:
@@ -646,7 +675,7 @@ class TensorGame:
         )
         alive = np.ones(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
-        row_tables = tables() if check_equilibria else None
+        row_tables = lanes.tables() if check_equilibria else None
 
         for lo in range(0, total, block):
             hi = min(total, lo + block)
@@ -751,46 +780,40 @@ class TensorGame:
     # ------------------------------------------------------------------
     def opt_c(self) -> float:
         """``optC``: the one-lane case of :meth:`_opt_c_lanes`."""
-        return float(self._opt_c_lanes(self.probs[None], self._lane_block)[0])
+        return float(self._opt_c_lanes(self.lanes())[0])
 
     def eq_c(self) -> Tuple[float, float]:
         """``(best-eqC, worst-eqC)``: the one-lane case of
         :meth:`_eq_c_lanes`, raising its error."""
-        pairs, errors = self._eq_c_lanes([self], self.probs[None], self._lane_block)
+        pairs, errors = self._eq_c_lanes(self.lanes())
         if errors[0] is not None:
             raise errors[0]
         return pairs[0]
 
-    def _opt_c_lanes(
-        self,
-        probs: np.ndarray,
-        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-    ) -> np.ndarray:
-        """Per-lane ``optC`` over ``G`` lanes of this lowering's structure
-        (never errors): ``0.0 + p*min`` folded in prior-support order.
-        ``probs`` and ``blocks`` are as in :meth:`_sweep_lanes`."""
+    def _opt_c_lanes(self, lanes: Lanes) -> np.ndarray:
+        """Per-lane ``optC`` over ``lanes`` (never errors): ``0.0 +
+        p*min`` folded in prior-support order."""
+        probs = lanes.probs
         totals = np.zeros(probs.shape[0])
         for s in range(len(self.states)):
-            totals = totals + probs[:, s] * blocks(s)[1].min(axis=1)
+            totals = totals + probs[:, s] * lanes.blocks(s)[1].min(axis=1)
         return totals
 
     def _eq_c_lanes(
-        self,
-        games: Sequence["TensorGame"],
-        probs: np.ndarray,
-        blocks: Callable[[int], Tuple[np.ndarray, np.ndarray]],
+        self, lanes: Lanes
     ) -> Tuple[List[Optional[Tuple[float, float]]], List[Optional[BaseException]]]:
-        """Per-lane ``(best-eqC, worst-eqC)`` over ``G`` lanes, with one
-        error slot per lane; ``games[g]`` is lane ``g``'s lowering (it
-        names the state in the no-pure-Nash message).  Folds in
-        prior-support order and stops once every lane has errored."""
+        """Per-lane ``(best-eqC, worst-eqC)`` over ``lanes``, with one
+        error slot per lane; ``lanes.games[g]`` names the state in lane
+        ``g``'s no-pure-Nash message.  Folds in prior-support order and
+        stops once every lane has errored."""
+        games, probs = lanes.games, lanes.probs
         group = probs.shape[0]
         best_total = np.zeros(group)
         worst_total = np.zeros(group)
         alive = np.ones(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
         for s, shape in enumerate(self.state_shapes):
-            costs, social = blocks(s)
+            costs, social = lanes.blocks(s)
             flat_mask, state_errors = nash_masks(costs, shape)
             for g, error in enumerate(state_errors):
                 if error is not None and alive[g]:
@@ -982,214 +1005,32 @@ class TensorGame:
                 return self.decode_digits(initial, digits)
         raise RuntimeError("Bayesian best-response dynamics did not converge")
 
-    def __repr__(self) -> str:
-        store = (
-            "pinned"
-            if self.pinned
-            else f"lru resident={self.store.cells}/{self.store.budget}"
-        )
-        return (
-            f"<TensorGame k={self.num_agents} states={len(self.states)} "
-            f"cells={self.total_cells} {store}>"
-        )
-
-
-# ----------------------------------------------------------------------
-# structure-of-arrays batching: many same-shape games, one kernel sweep
-# ----------------------------------------------------------------------
-
-def batch_signature(lowered: TensorGame) -> Tuple:
-    """Hashable description of everything *structural* about a lowering.
-
-    Two lowered games with equal signatures differ only in **data** —
-    state probabilities, cost-table entries, posterior weights — so
-    their tensors stack on a leading game axis and every blocked kernel
-    runs over the whole stack in lockstep (identical profile counts,
-    digit strides, deviation shapes, and conditional-state rows).  The
-    signature covers the per-agent mixed radices, per-state tensor
-    shapes, the strategy-digit position of every agent in every state,
-    and the interim conditional structure; action *labels* and type
-    *labels* are deliberately excluded (they never enter a kernel).
-    :class:`BatchTensorGame` refuses mixed signatures, so use this as
-    the bucket key.
-    """
-    return (
-        tuple(agent.radix for agent in lowered.agents),
-        tuple(lowered.state_shapes),
-        tuple(tuple(pos) for pos in lowered._state_pos),
-        tuple(
-            tuple((tpos, tuple(indices), n_dev) for tpos, indices, _w, n_dev in rows)
-            for rows in lowered._cond
-        ),
-    )
-
-
-class BatchTensorGame:
-    """A bucket of same-signature lowered games stacked game-major.
-
-    The profile sweep, the pure-Nash fold and the ``eqC``/``optC`` folds
-    are the kernels a single game runs (:meth:`TensorGame._sweep_lanes`,
-    :func:`nash_masks`, :meth:`TensorGame._eq_c_lanes`,
-    :meth:`TensorGame._opt_c_lanes`) with one lane per game; a single
-    game is their one-lane case.  The other kernels (the state optima,
-    the lockstep dynamics) add a leading game axis to the per-game
-    arithmetic.  Lanes never mix:
-    elementwise ops touch one lane each, running ``min``/``argmin``
-    folds are exact and keep the first occurrence, and every error
-    *condition* is a per-profile property of one lane, so no lane's
-    result depends on the other lanes or on the block size.
-
-    Error semantics: kernels never raise for a single game's failure.
-    Each returns per-game result lists alongside a per-game ``errors``
-    list holding the exact exception the per-game kernel would have
-    raised (same type, same message) — ``None`` for healthy games.  A
-    game that errors keeps occupying its lanes (the results are
-    discarded), so one bad game never poisons an otherwise-healthy
-    bucket.  The one bucket-wide error is the :class:`ExplosionError`
-    guard: same signature means the same profile count, so it trips for
-    all games or none.
-    """
-
-    def __init__(self, lowered: Sequence[TensorGame]) -> None:
-        games = list(lowered)
-        if not games:
-            raise ValueError("BatchTensorGame needs at least one lowered game")
-        template = games[0]
-        signature = batch_signature(template)
-        for other in games[1:]:
-            if batch_signature(other) != signature:
-                raise ValueError(
-                    "games in one batch must share a lowering shape; "
-                    "bucket by batch_signature() first"
-                )
-        self.lowered = games
-        self.template = template
-        self.size = len(games)
-        n_states = len(template.states)
-        #: (G, S) state probabilities — per-game data.
-        self.probs = np.stack([tg.probs for tg in games])
-        #: per state: (G, k, N_s) stacked cost tables.
-        self.state_costs = [
-            np.stack([tg.state_block(s).costs for tg in games])
-            for s in range(n_states)
-        ]
-        #: per state: (G, N_s) stacked social-cost vectors.
-        self.state_social = [
-            np.stack([tg.state_block(s).social for tg in games])
-            for s in range(n_states)
-        ]
-        #: per (agent, conditional row): (G, row length) posterior weights.
-        self.cond_weights = [
-            [
-                np.stack([tg._cond[i][r][2] for tg in games])
-                for r in range(len(template._cond[i]))
-            ]
-            for i in range(template.num_agents)
-        ]
-
-    def _take(self, subset: Optional[Sequence[int]]):
-        """The stacked views (or fancy-index copies) for a game subset."""
-        if subset is None:
-            return (
-                self.lowered,
-                self.probs,
-                self.state_costs,
-                self.state_social,
-                self.cond_weights,
-            )
-        positions = list(subset)
-        idx = np.asarray(positions, dtype=np.intp)
-        return (
-            [self.lowered[g] for g in positions],
-            self.probs[idx],
-            [costs[idx] for costs in self.state_costs],
-            [social[idx] for social in self.state_social],
-            [[weights[idx] for weights in rows] for rows in self.cond_weights],
-        )
-
-    # ------------------------------------------------------------------
-    # the batched blocked profile sweep
-    # ------------------------------------------------------------------
-    def sweep_profiles(
+    def _dynamics_lanes(
         self,
-        max_profiles: int,
-        collect_equilibria: bool = False,
-        check_equilibria: bool = True,
-        subset: Optional[Sequence[int]] = None,
-    ) -> Tuple[List[Optional[ProfileSweep]], List[Optional[BaseException]]]:
-        """:meth:`TensorGame.sweep_profiles` over the bucket, one lane
-        per game of ``subset`` (default: all); returns ``(sweeps,
-        errors)`` with exactly one ``None`` per game."""
-        _games, probs, state_costs, state_social, cond_weights = self._take(subset)
-        return self.template._sweep_lanes(
-            probs,
-            lambda s: (state_costs[s], state_social[s]),
-            cond_weights,
-            lambda: equilibrium_tables(self.template, state_costs, cond_weights),
-            max_profiles,
-            collect_equilibria,
-            check_equilibria,
-        )
-
-    # ------------------------------------------------------------------
-    # batched measure kernels
-    # ------------------------------------------------------------------
-    def state_optima(
-        self, subset: Optional[Sequence[int]] = None
-    ) -> np.ndarray:
-        """``(G, S)`` per-state optimum matrix (never errors)."""
-        _games, _probs, _costs, state_social, _w = self._take(subset)
-        return np.stack([social.min(axis=1) for social in state_social], axis=1)
-
-    def opt_c(self, subset: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-game ``optC`` via the per-state tables (never errors):
-        :meth:`TensorGame._opt_c_lanes` over the bucket."""
-        _games, probs, state_costs, state_social, _w = self._take(subset)
-        return self.template._opt_c_lanes(
-            probs, lambda s: (state_costs[s], state_social[s])
-        )
-
-    def eq_c(
-        self, subset: Optional[Sequence[int]] = None
-    ) -> Tuple[List[Optional[Tuple[float, float]]], List[Optional[BaseException]]]:
-        """Per-game ``(best-eqC, worst-eqC)`` with per-game error lanes:
-        :meth:`TensorGame._eq_c_lanes` over the bucket."""
-        games, probs, state_costs, state_social, _w = self._take(subset)
-        return self.template._eq_c_lanes(
-            games, probs, lambda s: (state_costs[s], state_social[s])
-        )
-
-    # ------------------------------------------------------------------
-    # batched best-response dynamics
-    # ------------------------------------------------------------------
-    def best_response_digits(
-        self,
+        lanes: Lanes,
         digit_rows: Sequence[List[List[int]]],
         max_rounds: int,
-        subset: Optional[Sequence[int]] = None,
     ) -> Tuple[List[Optional[List[List[int]]]], List[Optional[BaseException]]]:
-        """Lockstep interim best-response dynamics over encoded profiles.
+        """Lockstep interim best-response dynamics over ``lanes``.
 
-        ``digit_rows[g]`` is game ``g``'s :meth:`TensorGame.encode_strategies`
+        ``digit_rows[g]`` is lane ``g``'s :meth:`encode_strategies`
         output.  Rounds run in the per-game (agent, positive-type) order
         with the per-game tolerant improvement test per lane, so each
-        game visits exactly the profile sequence the per-game kernel
-        visits; converged games freeze their digits while the rest keep
-        stepping.  Returns per-game final digit lists and per-game
-        errors (no-feasible-action, or the non-convergence error after
-        ``max_rounds``).
+        lane visits exactly the profile sequence
+        :meth:`best_response_dynamics` visits; converged lanes freeze
+        their digits while the rest keep stepping.  Returns per-lane
+        final digit lists and per-lane errors (no-feasible-action, or the
+        non-convergence error after ``max_rounds``).
         """
-        games, _probs, state_costs, _social, cond_weights = self._take(subset)
-        group = len(games)
+        group = lanes.probs.shape[0]
         if len(digit_rows) != group:
             raise ValueError("one digit row per game required")
-        template = self.template
-        k = template.num_agents
+        k = self.num_agents
         digits = [
             np.array([row[i] for row in digit_rows], dtype=np.int64)
             for i in range(k)
         ]
-        lanes = np.arange(group)
+        lane_ids = np.arange(group)
         done = np.zeros(group, dtype=bool)
         failed = np.zeros(group, dtype=bool)
         errors: List[Optional[BaseException]] = [None] * group
@@ -1200,36 +1041,31 @@ class BatchTensorGame:
             changed = np.zeros(group, dtype=bool)
             for i in range(k):
                 for (tpos, cond_states, _w, n_dev), weights in zip(
-                    template._cond[i], cond_weights[i]
+                    self._cond[i], lanes.weights[i]
                 ):
                     deviations = np.arange(n_dev, dtype=np.int64)
                     interim = np.zeros((group, n_dev))
                     for position, s in enumerate(cond_states):
-                        strides = template.state_strides[s]
+                        strides = self.state_strides[s]
                         base = np.zeros(group, dtype=np.int64)
                         for j in range(k):
                             if j != i:
-                                base += (
-                                    strides[j]
-                                    * digits[j][:, template._state_pos[j][s]]
-                                )
+                                base += strides[j] * digits[j][:, self._state_pos[j][s]]
                         gathered = np.take_along_axis(
-                            state_costs[s][:, i, :],
+                            lanes.blocks(s)[0][:, i, :],
                             base[:, None] + strides[i] * deviations[None, :],
                             axis=1,
                         )
                         interim += weights[:, position, None] * gathered
                     best_positions = interim.argmin(axis=1)
-                    best = interim[lanes, best_positions]
+                    best = interim[lane_ids, best_positions]
                     bad = ~(best < np.inf) & active
                     if bad.any():
                         for g in np.nonzero(bad)[0]:
-                            errors[g] = RuntimeError(
-                                "agent has no feasible actions"
-                            )
+                            errors[g] = RuntimeError("agent has no feasible actions")
                         failed |= bad
                         active &= ~bad
-                    current = interim[lanes, digits[i][:, tpos]]
+                    current = interim[lane_ids, digits[i][:, tpos]]
                     improve = lt_array(best, current) & active
                     if improve.any():
                         digits[i][improve, tpos] = best_positions[improve]
@@ -1248,11 +1084,80 @@ class BatchTensorGame:
         return results, errors
 
     def __repr__(self) -> str:
-        return (
-            f"<BatchTensorGame games={self.size} "
-            f"states={len(self.template.states)} "
-            f"profiles={self.template.profile_count():g}>"
+        store = (
+            "pinned"
+            if self.pinned
+            else f"lru resident={self.store.cells}/{self.store.budget}"
         )
+        return (
+            f"<TensorGame k={self.num_agents} states={len(self.states)} "
+            f"cells={self.total_cells} {store}>"
+        )
+
+
+# ----------------------------------------------------------------------
+# structure-of-arrays batching: many same-shape games as stacked lanes
+# ----------------------------------------------------------------------
+
+def batch_signature(lowered: TensorGame) -> Tuple:
+    """Hashable description of everything *structural* about a lowering.
+
+    Two lowered games with equal signatures differ only in **data** —
+    state probabilities, cost-table entries, posterior weights — so
+    their tensors stack on a leading game axis and every blocked kernel
+    runs over the whole stack in lockstep (identical profile counts,
+    digit strides, deviation shapes, and conditional-state rows).  The
+    signature covers the per-agent mixed radices, per-state tensor
+    shapes, the strategy-digit position of every agent in every state,
+    and the interim conditional structure; action *labels* and type
+    *labels* are deliberately excluded (they never enter a kernel).
+    :func:`stack_lanes` refuses mixed signatures, so use this as the
+    bucket key.
+    """
+    return (
+        tuple(agent.radix for agent in lowered.agents),
+        tuple(lowered.state_shapes),
+        tuple(tuple(pos) for pos in lowered._state_pos),
+        tuple(
+            tuple((tpos, tuple(indices), n_dev) for tpos, indices, _w, n_dev in rows)
+            for rows in lowered._cond
+        ),
+    )
+
+
+def stack_lanes(lowered: Sequence[TensorGame]) -> Lanes:
+    """Stack same-signature lowered games game-major into one
+    :class:`Lanes` view: one lane per game, in order.
+
+    Refuses an empty list and mixed signatures (bucket by
+    :func:`batch_signature` first).  The equilibrium tables are built
+    over the stack each time a sweep asks for them.
+    """
+    games = list(lowered)
+    if not games:
+        raise ValueError("stack_lanes needs at least one lowered game")
+    template = games[0]
+    signature = batch_signature(template)
+    for other in games[1:]:
+        if batch_signature(other) != signature:
+            raise ValueError(
+                "games in one batch must share a lowering shape; "
+                "bucket by batch_signature() first"
+            )
+    states = range(len(template.states))
+    costs = [np.stack([tg.state_block(s).costs for tg in games]) for s in states]
+    social = [np.stack([tg.state_block(s).social for tg in games]) for s in states]
+    weights = [
+        [np.stack([tg._cond[i][r][2] for tg in games]) for r in range(len(rows))]
+        for i, rows in enumerate(template._cond)
+    ]
+    return Lanes(
+        games,
+        np.stack([tg.probs for tg in games]),
+        lambda s: (costs[s], social[s]),
+        weights,
+        lambda: equilibrium_tables(template, costs, weights),
+    )
 
 
 def _lower(

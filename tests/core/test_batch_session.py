@@ -11,6 +11,7 @@ import pytest
 
 from repro.analysis.census import population_game
 from repro.core.session import BatchSession, GameSession, query
+from repro.core.strategy import greedy_strategy_profile
 
 BUNDLE = [
     query("ignorance_report"),
@@ -130,6 +131,55 @@ class TestEvaluateMany:
             batch.evaluate_many(["opt_p"], kernels="soa")
         with pytest.raises(ValueError, match="on_error"):
             batch.evaluate_many(["opt_p"], on_error="ignore")
+
+    def test_unknown_measure_fills_every_cell_before_any_work(self, monkeypatch):
+        from repro.core import tensor
+
+        swept = []
+        original = tensor.TensorGame._sweep_lanes
+
+        def spy(self, *args, **kwargs):
+            swept.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(tensor.TensorGame, "_sweep_lanes", spy)
+        bundle = [query("opt_p"), query("banana")]
+        rows = BatchSession.from_sessions(_population(3)).evaluate_many(
+            bundle, on_error="capture"
+        )
+        assert swept == []
+        with pytest.raises(ValueError) as per_game:
+            GameSession(population_game("tiny-2x2x2s2", 0)).evaluate(bundle)
+        assert len(rows) == 3
+        for row in rows:
+            assert len(row) == 2
+            for cell in row:
+                assert type(cell) is ValueError
+                assert str(cell) == str(per_game.value)
+        with pytest.raises(ValueError, match="unknown measure"):
+            BatchSession.from_sessions(_population(3)).evaluate_many(bundle)
+        assert swept == []
+
+    def test_list_parameters_match_per_game_rows(self):
+        """``query`` freezes list parameters, so a list-valued ``initial``
+        runs on the batch path exactly as it does per game."""
+        games = [population_game("tiny-2x2x2s2", member) for member in range(6)]
+        initial = [list(strategy) for strategy in greedy_strategy_profile(games[0])]
+        item = query("dynamics", initial=initial, max_rounds=8)
+        per_game = []
+        for game in games:
+            try:
+                per_game.append(GameSession(game).evaluate([item]))
+            except RuntimeError as error:  # non-convergence within 8 rounds
+                per_game.append([error])
+        for kernels in ("auto", "loop"):
+            rows = BatchSession(games).evaluate_many(
+                [item], kernels=kernels, on_error="capture"
+            )
+            assert _fold(rows) == _fold(per_game)
+        assert item == query(
+            "dynamics", initial=tuple(map(tuple, initial)), max_rounds=8
+        )
 
     def test_empty_bundle_and_empty_batch(self):
         assert BatchSession.from_sessions(_population(2)).evaluate_many(

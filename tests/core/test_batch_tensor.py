@@ -1,10 +1,10 @@
-"""The structure-of-arrays kernels against the per-game tensor engine.
+"""The lane kernels over stacked buckets against the per-game engine.
 
-Every :class:`BatchTensorGame` kernel must reproduce the per-game
-:class:`TensorGame` kernel lane for lane — values bit-identical, errors
-(type *and* message) landing only in the failing game's slot while the
-rest of the bucket answers normally.  The profile sweep is one kernel
-for both (a single game is its one-lane case), so the sweep cases also
+Every :class:`TensorGame` lane kernel run over a :func:`stack_lanes`
+bucket must reproduce the per-game kernel lane for lane — values
+bit-identical, errors (type *and* message) landing only in the failing
+game's slot while the rest of the bucket answers normally.  A single
+game is the one-lane case of the same kernels, so the sweep cases also
 check every lane against the reference engine (``opt_p``, the
 equilibrium extreme costs and the equilibrium list, errors included).  The populations come from
 ``repro.analysis.census.FAMILIES``: one same-shape family per bucket, with
@@ -24,6 +24,7 @@ from repro.core import (
     opt_p,
     tensor,
 )
+from repro.core.session import BatchSession, query
 from repro.core.strategy import greedy_strategy_profile
 
 BIG = 10**9
@@ -104,20 +105,19 @@ class TestBatchSignature:
         _g1, tiny = _family("tiny-2x2x2s2", 1)
         _g2, bench = _family("bench-3x2x2s4", 1)
         with pytest.raises(ValueError, match="share a lowering shape"):
-            tensor.BatchTensorGame(tiny + bench)
+            tensor.stack_lanes(tiny + bench)
 
     def test_empty_batch_is_refused(self):
         with pytest.raises(ValueError, match="at least one"):
-            tensor.BatchTensorGame([])
+            tensor.stack_lanes([])
 
 
 class TestSweepParity:
     @pytest.mark.parametrize("collect", [False, True])
     def test_sweep_matches_per_game(self, collect):
         _games, lowered = _family("tiny-2x2x2s2", 10)
-        batch = tensor.BatchTensorGame(lowered)
-        sweeps, errors = batch.sweep_profiles(
-            BIG, collect_equilibria=collect
+        sweeps, errors = lowered[0]._sweep_lanes(
+            tensor.stack_lanes(lowered), BIG, collect, True
         )
         for member, (tg, sweep, error) in enumerate(zip(lowered, sweeps, errors)):
             _check_reference("tiny-2x2x2s2", member, tg, BIG, sweep, error)
@@ -137,8 +137,9 @@ class TestSweepParity:
 
     def test_check_free_sweep_matches(self):
         _games, lowered = _family("bench-3x2x2s4", 6)
-        batch = tensor.BatchTensorGame(lowered)
-        sweeps, errors = batch.sweep_profiles(BIG, check_equilibria=False)
+        sweeps, errors = lowered[0]._sweep_lanes(
+            tensor.stack_lanes(lowered), BIG, False, False
+        )
         assert errors == [None] * len(lowered)
         for member, (tg, sweep) in enumerate(zip(lowered, sweeps)):
             _check_reference(
@@ -150,8 +151,9 @@ class TestSweepParity:
 
     def test_explosion_is_all_or_none_with_the_per_game_message(self):
         _games, lowered = _family("tiny-2x2x2s2", 3)
-        batch = tensor.BatchTensorGame(lowered)
-        sweeps, errors = batch.sweep_profiles(1)
+        sweeps, errors = lowered[0]._sweep_lanes(
+            tensor.stack_lanes(lowered), 1, False, True
+        )
         assert sweeps == [None] * 3
         for member, (tg, error) in enumerate(zip(lowered, errors)):
             _check_reference("tiny-2x2x2s2", member, tg, 1, None, error)
@@ -161,11 +163,12 @@ class TestSweepParity:
 
     def test_subset_matches_full_run(self):
         _games, lowered = _family("tiny-2x2x2s2", 8)
-        batch = tensor.BatchTensorGame(lowered)
-        full, _ = batch.sweep_profiles(BIG, collect_equilibria=True)
+        full, _ = lowered[0]._sweep_lanes(
+            tensor.stack_lanes(lowered), BIG, True, True
+        )
         subset = [5, 1, 6]
-        partial, partial_errors = batch.sweep_profiles(
-            BIG, collect_equilibria=True, subset=subset
+        partial, partial_errors = lowered[0]._sweep_lanes(
+            tensor.stack_lanes([lowered[g] for g in subset]), BIG, True, True
         )
         for position, g in enumerate(subset):
             _check_reference(
@@ -178,19 +181,22 @@ class TestSweepParity:
 
 class TestScanParity:
     def test_opt_c_and_state_optima_match_per_game(self):
-        _games, lowered = _family("tiny-2x2x2s2", 10)
-        batch = tensor.BatchTensorGame(lowered)
-        totals = batch.opt_c()
-        optima = batch.state_optima()
-        for g, tg in enumerate(lowered):
+        games, lowered = _family("tiny-2x2x2s2", 10)
+        totals = lowered[0]._opt_c_lanes(tensor.stack_lanes(lowered))
+        batch = BatchSession(games)
+        profile = lowered[0].states[0]
+        batch.evaluate_many([query("state_optimum", profile=profile)])
+        for g, (tg, session) in enumerate(zip(lowered, batch.sessions)):
             assert float(totals[g]) == tg.opt_c()
-            for s in range(len(tg.states)):
-                assert float(optima[g, s]) == tg.state_block(s).optimum()
+            # The bucket fills every support state's optimum, not only
+            # the one asked for.
+            for s, state in enumerate(tg.states):
+                expected = ("ok", tg.state_block(s).optimum())
+                assert session._memo[("state_opt", state)] == expected
 
     def test_eq_c_matches_per_game_including_no_nash_errors(self):
         games, lowered = _family("tiny-2x2x2s2", 12)
-        batch = tensor.BatchTensorGame(lowered)
-        pairs, errors = batch.eq_c()
+        pairs, errors = lowered[0]._eq_c_lanes(tensor.stack_lanes(lowered))
         per_game = [_per_game(tg.eq_c) for tg in lowered]
         assert any(error is not None for _, error in per_game), (
             "corpus must include a no-pure-Nash member for this test"
@@ -203,12 +209,13 @@ class TestScanParity:
 
     def test_one_failing_game_leaves_the_rest_intact(self):
         games, lowered = _family("tiny-2x2x2s2", 12)
-        batch = tensor.BatchTensorGame(lowered)
-        _pairs, errors = batch.eq_c()
+        _pairs, errors = lowered[0]._eq_c_lanes(tensor.stack_lanes(lowered))
         healthy = [g for g, error in enumerate(errors) if error is None]
         failing = [g for g, error in enumerate(errors) if error is not None]
         assert healthy and failing
-        pairs, sub_errors = batch.eq_c(subset=healthy)
+        pairs, sub_errors = lowered[0]._eq_c_lanes(
+            tensor.stack_lanes([lowered[g] for g in healthy])
+        )
         assert sub_errors == [None] * len(healthy)
         for position, g in enumerate(healthy):
             assert pairs[position] == lowered[g].eq_c()
@@ -217,11 +224,12 @@ class TestScanParity:
 class TestDynamicsParity:
     def test_dynamics_match_per_game_including_non_convergence(self):
         games, lowered = _family("tiny-2x2x2s2", 12)
-        batch = tensor.BatchTensorGame(lowered)
         starts = [greedy_strategy_profile(game) for game in games]
         rows = [tg.encode_strategies(start) for tg, start in zip(lowered, starts)]
         assert all(row is not None for row in rows)
-        digits, errors = batch.best_response_digits(rows, max_rounds=8)
+        digits, errors = lowered[0]._dynamics_lanes(
+            tensor.stack_lanes(lowered), rows, max_rounds=8
+        )
         outcomes = [
             _per_game(lambda tg=tg, s=start: tg.best_response_dynamics(s, 8))
             for tg, start in zip(lowered, starts)
@@ -239,23 +247,34 @@ class TestDynamicsParity:
 
     def test_digit_row_count_is_validated(self):
         _games, lowered = _family("tiny-2x2x2s2", 3)
-        batch = tensor.BatchTensorGame(lowered)
         with pytest.raises(ValueError, match="one digit row per game"):
-            batch.best_response_digits([], max_rounds=4)
-
-
-def test_repr_mentions_size():
-    _games, lowered = _family("tiny-2x2x2s2", 5)
-    assert "games=5" in repr(tensor.BatchTensorGame(lowered))
+            lowered[0]._dynamics_lanes(
+                tensor.stack_lanes(lowered), [], max_rounds=4
+            )
 
 
 def test_stacked_tensors_are_game_major_copies():
     games, lowered = _family("tiny-2x2x2s2", 4)
-    batch = tensor.BatchTensorGame(lowered)
-    assert batch.probs.shape == (4, len(lowered[0].states))
+    lanes = tensor.stack_lanes(lowered)
+    assert lanes.games == lowered
+    assert lanes.probs.shape == (4, len(lowered[0].states))
     for s in range(len(lowered[0].states)):
-        assert batch.state_costs[s].shape == (4,) + lowered[0].state_block(s).costs.shape
+        costs, social = lanes.blocks(s)
+        assert costs.shape == (4,) + lowered[0].state_block(s).costs.shape
         for g, tg in enumerate(lowered):
-            assert np.array_equal(
-                batch.state_costs[s][g], tg.state_block(s).costs
-            )
+            assert np.array_equal(costs[g], tg.state_block(s).costs)
+            assert np.array_equal(social[g], tg.state_block(s).social)
+            assert not np.shares_memory(costs, tg.state_block(s).costs)
+
+
+def test_one_lane_view_is_zero_copy():
+    _games, lowered = _family("tiny-2x2x2s2", 1)
+    tg = lowered[0]
+    lanes = tg.lanes()
+    assert lanes.games == [tg]
+    assert np.shares_memory(lanes.probs, tg.probs)
+    for s in range(len(tg.states)):
+        costs, social = lanes.blocks(s)
+        assert costs.shape == (1,) + tg.state_block(s).costs.shape
+        assert np.shares_memory(costs, tg.state_block(s).costs)
+        assert np.shares_memory(social, tg.state_block(s).social)

@@ -1,6 +1,6 @@
 """The factored equilibrium check: per-lowering interim best-response tables.
 
-``TensorGame.sweep_profiles`` and ``BatchTensorGame.sweep_profiles``
+``TensorGame.sweep_profiles`` and the lane sweep over ``stack_lanes``
 check the interim equilibrium condition with one boolean gather per
 (agent, positive type) row, from tables built once per lowering.  These
 tests pin the tables to brute force, the oversized-row gather fallback
@@ -184,8 +184,8 @@ class TestGatherFallback:
             if len(cond[1]) == 1
         )
         assert gathered.sweep_profiles(BIG, collect_equilibria=True) == expected
-        batch = tensor.BatchTensorGame([gathered, tensor.lower_game(game)])
-        sweeps, errors = batch.sweep_profiles(BIG, collect_equilibria=True)
+        lanes = tensor.stack_lanes([gathered, tensor.lower_game(game)])
+        sweeps, errors = gathered._sweep_lanes(lanes, BIG, True, True)
         assert errors == [None, None]
         assert sweeps == [expected, expected]
 
@@ -218,8 +218,8 @@ class TestErrorPath:
     def test_batch_records_the_error_in_the_failing_lane_only(self):
         healthy = [tensor.lower_game(self._game(True)) for _ in range(2)]
         failing = tensor.lower_game(self._game(False))
-        batch = tensor.BatchTensorGame([healthy[0], failing, healthy[1]])
-        sweeps, errors = batch.sweep_profiles(BIG, collect_equilibria=True)
+        lanes = tensor.stack_lanes([healthy[0], failing, healthy[1]])
+        sweeps, errors = failing._sweep_lanes(lanes, BIG, True, True)
         assert errors[0] is None and errors[2] is None
         assert type(errors[1]) is RuntimeError
         assert str(errors[1]) == "agent has no feasible actions"

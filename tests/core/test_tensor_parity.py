@@ -35,11 +35,11 @@ from repro.core import (
 )
 from repro.analysis.census import population_game
 from repro.core.tensor import (
-    BatchTensorGame,
     StateTensor,
     TensorGame,
     lt_array,
     nash_masks,
+    stack_lanes,
 )
 from repro.core.strategy import DEFAULT_MAX_PROFILES
 from repro._util import TOLERANCE, ExplosionError, lt
@@ -323,14 +323,13 @@ class TestGuards:
         game = informed_coordination_game()
         lowered = lower_game(game)
         assert lowered is not None
-        batch = BatchTensorGame(
-            [maybe_lower(population_game("bench-3x2x2s4", m)) for m in range(3)]
-        )
+        bucket = [maybe_lower(population_game("bench-3x2x2s4", m)) for m in range(3)]
+        lanes = stack_lanes(bucket)
 
         def sweeps():
             return (
                 lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True),
-                batch.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True),
+                bucket[0]._sweep_lanes(lanes, DEFAULT_MAX_PROFILES, True, True),
             )
 
         full = sweeps()

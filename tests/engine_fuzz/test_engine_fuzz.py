@@ -151,26 +151,25 @@ class TestHarnessDetectsFaults:
     def test_injected_batch_kernel_fault_is_caught(self, monkeypatch):
         """A skewed SoA sweep must surface in the batch battery.
 
-        The fault only touches :class:`tensor.BatchTensorGame` (the SoA
-        kernels), so ``kernels="loop"`` and the free functions stay
-        correct — exactly the disagreement the battery compares for.
+        The fault only touches the stacked data :func:`tensor.stack_lanes`
+        returns (its social costs), so a game's own one-lane view,
+        ``kernels="loop"`` and the free functions stay correct — exactly
+        the disagreement the battery compares for.
         """
-        original = tensor.BatchTensorGame.sweep_profiles
+        original = tensor.stack_lanes
 
-        def skewed(self, max_profiles, collect_equilibria=False,
-                   check_equilibria=True, subset=None):
-            sweeps, errors = original(
-                self, max_profiles,
-                collect_equilibria=collect_equilibria,
-                check_equilibria=check_equilibria,
-                subset=subset,
-            )
-            for sweep in sweeps:
-                if sweep is not None:
-                    sweep.opt_p += 0.125
-            return sweeps, errors
+        def skewed(lowered):
+            lanes = original(lowered)
+            blocks = lanes.blocks
 
-        monkeypatch.setattr(tensor.BatchTensorGame, "sweep_profiles", skewed)
+            def skewed_blocks(s):
+                costs, social = blocks(s)
+                return costs, social + 0.125
+
+            lanes.blocks = skewed_blocks
+            return lanes
+
+        monkeypatch.setattr(tensor, "stack_lanes", skewed)
         specs = [spec_for_seed(seed) for seed in range(8)]
         mismatch = check_batch_specs(specs)
         assert mismatch is not None

@@ -348,6 +348,32 @@ class TestErrorBodies:
             client.evaluate(game_key, ["nope"])
         assert str(remote.value) == str(local.value)
 
+    def test_unknown_measure_is_each_batch_rows_422(self, server, client):
+        """The batch endpoint answers an unknown measure like ``/evaluate``
+        does: 422 ``value-error`` with the same message, in every game's
+        row, not a whole-request 500."""
+        specs = [spec_for_seed(0), spec_for_seed(1)]
+        bundle = [{"measure": "opt_p"}, {"measure": "nope"}]
+        game_key = client.submit(specs[0])
+        status, single = raw_request(
+            server, "POST", f"/v1/games/{game_key}/evaluate", {"queries": bundle}
+        )
+        assert status == 422 and single["error"]["code"] == "value-error"
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {"games": [{"game": spec_to_wire(spec)} for spec in specs],
+             "queries": bundle},
+        )
+        assert status == 200, body
+        assert [row["status"] for row in body["results"]] == [422, 422]
+        for row in body["results"]:
+            assert row["error"] == single["error"]
+        rows = client.evaluate_many(specs, ["opt_p", "nope"], on_error="return")
+        with pytest.raises(ValueError) as local:
+            GameSession(specs[0].build()).evaluate(["opt_p", "nope"])
+        for row in rows:
+            assert type(row) is ValueError and str(row) == str(local.value)
+
     def test_explosion_reconstructs_the_exact_exception(self):
         server, _thread = start_local_server(
             capacity=4, session_config={"max_strategy_profiles": 1}
