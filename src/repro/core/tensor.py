@@ -26,8 +26,13 @@ form once, then reimplements the hot paths as batched array kernels:
   social costs ``K(s)`` come from gathers into per-state social-cost
   vectors, and the interim equilibrium conditions from one boolean
   gather per (agent, type) row into best-response tables built once per
-  lowering (:func:`equilibrium_tables`).  No temporary allocation exceeds
-  :data:`BLOCK_CELLS` cells, and the reference explosion guards
+  lowering (:func:`equilibrium_tables`).  The gathered indices are
+  linear in the strategy digits, so no block divides per profile: a
+  profile index splits as ``q*P + r`` at a radix period ``P`` within one
+  block, the ``r`` part of every index is built once per sweep, and a
+  block adds the few ``q`` parts it spans
+  (:meth:`TensorGame._profile_indexer`).  No temporary allocation
+  exceeds :data:`BLOCK_CELLS` cells, and the reference explosion guards
   (``max_profiles`` / ``max_action_profiles``) apply unchanged.
 
 Floating-point accumulation mirrors the reference fold order (states in
@@ -633,6 +638,93 @@ class TensorGame:
             self._equilibrium_tables,
         )
 
+    def _profile_indexer(
+        self, forms: Sequence[Sequence[Tuple[int, int, int]]], block: int
+    ) -> Callable[[int, int], List[np.ndarray]]:
+        """``indices(lo, hi)``: each form's value at profiles ``lo..hi-1``,
+        for the blocks ``[lo, lo + block)`` of a sweep.
+
+        A form is a list of ``(coef, i, p)`` terms and its value the sum
+        of ``coef`` times agent ``i``'s strategy digit at type position
+        ``p``.  Flatten every digit in profile order (agents in order,
+        positions in order, the last fastest) and cut at the largest
+        suffix product ``P`` of their radices within ``min(block,
+        total)``.  A profile ``x = q*P + r`` then has its digits below the
+        cut fixed by ``r`` and those above by ``q``.  The tails (terms
+        below the cut, over ``r`` in ``range(P)``) are built once here; a
+        block computes the heads of the few ``q`` it spans (fewer than the
+        radix above the cut, plus one) and adds them to the tails straight
+        into its index, in three pieces: the rest of the first period,
+        the whole periods, the start of the last.  When ``total <= block``
+        there is no head and the tail is the index.
+        """
+        radix: List[int] = []
+        place: List[int] = []  # profile-index stride of each digit
+        first: List[int] = []  # agent i's first digit
+        for agent, outer in zip(self.agents, self.profile_strides):
+            first.append(len(radix))
+            radix.extend(agent.radix)
+            place.extend(outer * inner for inner in agent.strides)
+        bound = min(block, int(self.profile_count()))
+        cut = next(
+            (j for j, (n, unit) in enumerate(zip(radix, place)) if n * unit <= bound),
+            len(radix),
+        )
+        period = radix[cut] * place[cut] if cut < len(radix) else 1
+        head_terms: List[List[Tuple[int, int]]] = []
+        tail_terms: List[List[Tuple[int, int]]] = []
+        for form in forms:
+            head, tail = [], []
+            for coef, i, p in form:
+                j = first[i] + p
+                if radix[j] > 1:  # a radix-1 digit is always 0
+                    (head if j < cut else tail).append((coef, j))
+            head_terms.append(head)
+            tail_terms.append(tail)
+
+        def evaluate(term_lists, values: np.ndarray, scale: int) -> List[np.ndarray]:
+            """Each term list's value at ``values`` (``r`` at scale 1, or
+            ``q`` at scale ``P``), extracting each digit once."""
+            digits: Dict[int, np.ndarray] = {}
+            out = []
+            for terms in term_lists:
+                value = None
+                for coef, j in terms:
+                    if j not in digits:
+                        digits[j] = (values // (place[j] // scale)) % radix[j]
+                    term = digits[j] if coef == 1 else coef * digits[j]
+                    value = term if value is None else value + term
+                out.append(np.zeros(len(values), dtype=np.int64) if value is None else value)
+            return out
+
+        tails = evaluate(tail_terms, np.arange(period, dtype=np.int64), 1)
+        if cut == 0:
+            return lambda lo, hi: tails
+
+        def indices(lo: int, hi: int) -> List[np.ndarray]:
+            q0, r0 = divmod(lo, period)
+            q1, r1 = divmod(hi, period)
+            heads = evaluate(head_terms, np.arange(q0, q1 + 1, dtype=np.int64), period)
+            out = []
+            for head, tail in zip(heads, tails):
+                index = np.empty(hi - lo, dtype=np.int64)
+                if q0 == q1:
+                    np.add(head[0], tail[r0:r1], out=index)
+                else:
+                    # The rest of period q0, whole periods, the start of q1.
+                    start = period - r0
+                    stop = start + (q1 - q0 - 1) * period
+                    np.add(head[0], tail[r0:], out=index[:start])
+                    np.add(
+                        head[1 : q1 - q0, None], tail,
+                        out=index[start:stop].reshape(-1, period),
+                    )
+                    np.add(head[-1], tail[:r1], out=index[stop:])
+                out.append(index)
+            return out
+
+        return indices
+
     def _sweep_lanes(
         self,
         lanes: Lanes,
@@ -660,11 +752,6 @@ class TensorGame:
         k = self.num_agents
         block = self._block_size(group)
 
-        def digit(strategy, i: int, p: int):
-            """Agent ``i``'s digit at type position ``p``."""
-            agent = self.agents[i]
-            return (strategy // agent.strides[p]) % agent.radix[p]
-
         opt = np.full(group, np.inf)
         argmin = np.full(group, -1, dtype=np.int64)
         best_eq = np.full(group, np.inf)
@@ -677,26 +764,32 @@ class TensorGame:
         errors: List[Optional[BaseException]] = [None] * group
         row_tables = lanes.tables() if check_equilibria else None
 
+        # The indices a block reads: every state's flat cell, then the own
+        # digit of each row the gather checks (a row without a table).
+        num_states = len(self.states)
+        forms = [
+            [(strides[i], i, self._state_pos[i][s]) for i in range(k)]
+            for s, strides in enumerate(self.state_strides)
+        ]
+        own: Dict[Tuple[int, int], int] = {}
+        if check_equilibria:
+            for i in range(k):
+                for r, row in enumerate(self._cond[i]):
+                    if row_tables is None or row_tables[i][r] is None:
+                        own[i, r] = len(forms)
+                        forms.append([(1, i, row[0])])
+        indices = self._profile_indexer(forms, block)
+
         for lo in range(0, total, block):
             hi = min(total, lo + block)
-            flat = np.arange(lo, hi, dtype=np.int64)
-            strat = [
-                (flat // stride) % agent.exact_count
-                for agent, stride in zip(self.agents, self.profile_strides)
-            ]
+            index_block = indices(lo, hi)
 
             # Shared per-state flat indices (structure), per-lane social
             # costs (data), folded in prior-support order (the reference
             # fold).
-            state_flat: List[np.ndarray] = []
+            state_flat = index_block[:num_states]
             social = np.zeros((group, hi - lo), dtype=float)
-            for s, state_strides in enumerate(self.state_strides):
-                index = np.zeros(hi - lo, dtype=np.int64)
-                for i in range(k):
-                    index += state_strides[i] * digit(
-                        strat[i], i, self._state_pos[i][s]
-                    )
-                state_flat.append(index)
+            for s, index in enumerate(state_flat):
                 social += probs[:, s, None] * blocks(s)[1].take(index, axis=1)
 
             block_min = social.min(axis=1)
@@ -709,7 +802,7 @@ class TensorGame:
 
             ok = np.ones((group, hi - lo), dtype=bool)
             for i in range(k):
-                for r, (tpos, cond_states, _w, n_dev) in enumerate(self._cond[i]):
+                for r, (_tpos, cond_states, _w, n_dev) in enumerate(self._cond[i]):
                     table = None if row_tables is None else row_tables[i][r]
                     if table is not None:
                         cells = table.cells(state_flat)
@@ -719,19 +812,19 @@ class TensorGame:
                         # No table (LRU store, or a joint row over the
                         # table guard): gather the (G x block x n_dev)
                         # interim matrix directly.
-                        own = digit(strat[i], i, tpos)
+                        digit = index_block[own[i, r]]
                         deviations = np.arange(n_dev, dtype=np.int64)
                         interim = np.zeros((group, hi - lo, n_dev), dtype=float)
                         for position, s in enumerate(cond_states):
                             stride = self.state_strides[s][i]
-                            others = state_flat[s] - stride * own
+                            others = state_flat[s] - stride * digit
                             interim += cond_weights[i][r][:, position, None, None] * (
                                 blocks(s)[0][:, i].take(
                                     others[:, None] + stride * deviations[None, :],
                                     axis=1,
                                 )
                             )
-                        current = interim[:, np.arange(hi - lo), own]
+                        current = interim[:, np.arange(hi - lo), digit]
                         best = interim.min(axis=2)
                         good = ~lt_array(best, current)
                         bad = ~(best < np.inf)

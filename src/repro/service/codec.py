@@ -365,6 +365,7 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
         }
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed game payload: {error!r}") from None
+    _check_costs(len(action_spaces), support, feasible, costs)
     return TabularGameSpec(
         action_spaces=action_spaces,
         type_spaces=type_spaces,
@@ -374,6 +375,43 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
         name=payload.get("name", ""),
         meta=payload.get("meta", ""),
     )
+
+
+def _check_costs(
+    num_agents: int,
+    support: List[Tuple[Profile, Any]],
+    feasible: Dict[Tuple[int, Hashable], List[Hashable]],
+    costs: Dict[CostKey, Any],
+) -> None:
+    """Refuse a cost table the engines cannot evaluate: a cost that is
+    not an ``int``/``float`` (a ``bool`` is not a number) or is NaN, or a
+    missing cost over a support state's feasible-action product (the
+    cells :func:`tabularize` writes and every engine reads)."""
+    for (agent, state, actions), cost in costs.items():
+        if type(cost) not in (int, float) or cost != cost:
+            raise CodecError(
+                f"cost of agent {agent!r} at state {state!r}, actions "
+                f"{actions!r} must be a number, not NaN: got {cost!r}"
+            )
+    for state, _ in support:
+        if len(state) != num_agents:
+            raise CodecError(
+                f"support state {state!r} needs one type per agent ({num_agents})"
+            )
+        spaces = []
+        for agent, ti in enumerate(state):
+            if (agent, ti) not in feasible:
+                raise CodecError(
+                    f"missing feasible actions of agent {agent} for type {ti!r}"
+                )
+            spaces.append(feasible[(agent, ti)])
+        for actions in product(*spaces):
+            for agent in range(num_agents):
+                if (agent, state, actions) not in costs:
+                    raise CodecError(
+                        f"missing cost of agent {agent} at state {state!r}, "
+                        f"actions {actions!r}"
+                    )
 
 
 def game_hash(spec: TabularGameSpec) -> str:

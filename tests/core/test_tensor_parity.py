@@ -28,12 +28,14 @@ from repro.core import (
     get_engine,
     ignorance_report,
     lower_game,
+    lower_game_lazy,
     maybe_lower,
     nash_extreme_costs,
     opt_p,
     state_optimum,
 )
 from repro.analysis.census import population_game
+from repro.core import tensor
 from repro.core.tensor import (
     StateTensor,
     TensorGame,
@@ -337,6 +339,118 @@ class TestGuards:
         monkeypatch.setattr(TensorGame, "_block_size", lambda self, group=1: 1)
         blocked = sweeps()
         assert blocked == full
+
+
+def _radix_game(radices_per_agent):
+    """A game whose agents' strategy digits have the given radices: agent
+    ``i`` has one type per entry, that type's feasible actions are
+    ``range(n)``, and every type profile is in the (uniform) support."""
+    widest = max(n for radices in radices_per_agent for n in radices)
+    types = [list(range(len(radices))) for radices in radices_per_agent]
+    states = list(product(*types))
+    return BayesianGame(
+        action_spaces=[list(range(widest)) for _ in radices_per_agent],
+        type_spaces=types,
+        prior=CommonPrior({state: 1.0 / len(states) for state in states}),
+        cost_fn=lambda i, t, a: float((3 * a[i] + 5 * sum(a) + 7 * sum(t) + i) % 11),
+        feasible_fn=lambda i, ti: list(range(radices_per_agent[i][ti])),
+    )
+
+
+def _sweep_forms(lowered):
+    """The sweep's index forms: every state's flat cell, then every
+    row's own digit."""
+    k = lowered.num_agents
+    forms = [
+        [(strides[i], i, lowered._state_pos[i][s]) for i in range(k)]
+        for s, strides in enumerate(lowered.state_strides)
+    ]
+    forms += [[(1, i, row[0])] for i in range(k) for row in lowered._cond[i]]
+    return forms
+
+
+def _digit_formula(lowered, form, lo, hi):
+    """``form`` at profiles ``lo..hi-1``, digit by digit from the profile
+    index (the per-block arithmetic the split replaces)."""
+    flat = np.arange(lo, hi, dtype=np.int64)
+    value = np.zeros(hi - lo, dtype=np.int64)
+    for coef, i, p in form:
+        agent = lowered.agents[i]
+        strategy = (flat // lowered.profile_strides[i]) % agent.exact_count
+        value += coef * ((strategy // agent.strides[p]) % agent.radix[p])
+    return value
+
+
+class TestProfileIndexSplit:
+    """``_profile_indexer`` splits a profile index at a radix period; its
+    per-block indices must equal the digit formula whatever the block."""
+
+    def _assert_blocks_match(self, lowered, block):
+        forms = _sweep_forms(lowered)
+        indices = lowered._profile_indexer(forms, block)
+        total = int(lowered.profile_count())
+        for lo in range(0, total, block):
+            hi = min(total, lo + block)
+            got = indices(lo, hi)
+            assert len(got) == len(forms)
+            for form, index in zip(forms, got):
+                assert index.tolist() == _digit_formula(lowered, form, lo, hi).tolist()
+
+    def _assert_sweeps_unchanged(self, monkeypatch, game, cells, block):
+        lowered = lower_game(game)
+        full = lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True)
+        free = lowered.sweep_profiles(DEFAULT_MAX_PROFILES, check_equilibria=False)
+        gathered = lower_game_lazy(game).sweep_profiles(
+            DEFAULT_MAX_PROFILES, collect_equilibria=True
+        )
+        monkeypatch.setattr(tensor, "BLOCK_CELLS", cells)
+        assert lowered._block_size() == block
+        self._assert_blocks_match(lowered, block)
+        assert lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True) == full
+        assert lowered.sweep_profiles(DEFAULT_MAX_PROFILES, check_equilibria=False) == free
+        lru = lower_game_lazy(game)
+        assert lru.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True) == gathered
+        assert gathered == full
+
+    def test_blocks_start_mid_period(self, monkeypatch):
+        """Radix-3 digits: suffix products 81, 27, 9, 3, 1 against a
+        10-profile block put the period at 9, so block ``b`` starts at
+        offset ``b`` of its period."""
+        game = _radix_game([[3, 3], [3, 3]])
+        self._assert_sweeps_unchanged(monkeypatch, game, cells=40, block=10)
+
+    def test_digit_radix_exceeds_block(self, monkeypatch):
+        """The last digit's radix (12) exceeds the 10-profile block, so the
+        period is 1 and every digit is a head digit."""
+        game = _radix_game([[2, 2], [12]])
+        self._assert_sweeps_unchanged(monkeypatch, game, cells=120, block=10)
+
+    def test_whole_space_in_one_block(self):
+        """``total <= block``: no head digits, and the indexer hands back
+        the tails it built, with no per-block work."""
+        lowered = lower_game(_radix_game([[3, 2], [2, 3]]))
+        total = int(lowered.profile_count())
+        assert total <= lowered._block_size()
+        indices = lowered._profile_indexer(_sweep_forms(lowered), lowered._block_size())
+        assert indices(0, total) is indices(0, total)
+        self._assert_blocks_match(lowered, lowered._block_size())
+
+    def test_stacked_lanes_with_mid_period_blocks(self, monkeypatch):
+        """Three lanes of binary digits: a 10-profile block against
+        power-of-two periods (period 8), every lane as its game alone."""
+        bucket = [maybe_lower(population_game("bench-3x2x2s4", m)) for m in range(3)]
+        alone = [
+            lowered.sweep_profiles(DEFAULT_MAX_PROFILES, collect_equilibria=True)
+            for lowered in bucket
+        ]
+        monkeypatch.setattr(tensor, "BLOCK_CELLS", 10 * 3 * 4)
+        assert bucket[0]._block_size(3) == 10
+        self._assert_blocks_match(bucket[0], 10)
+        sweeps, errors = bucket[0]._sweep_lanes(
+            stack_lanes(bucket), DEFAULT_MAX_PROFILES, True, True
+        )
+        assert errors == [None] * 3
+        assert sweeps == alone
 
 
 class TestLoweringInternals:

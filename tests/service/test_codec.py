@@ -18,7 +18,10 @@ from repro.service.codec import (
     game_hash,
     spec_from_wire,
     spec_to_wire,
+    tabularize,
 )
+from repro.core.game import BayesianGame
+from repro.core.prior import CommonPrior
 
 import numpy as np
 
@@ -136,6 +139,56 @@ class TestSpecCodec:
         wire = spec_to_wire(spec_for_seed(0))
         del wire["costs"]
         with pytest.raises(CodecError):
+            spec_from_wire(wire)
+
+
+def two_by_two_wire():
+    """A one-state game of two agents with two actions each, on the wire."""
+    game = BayesianGame(
+        action_spaces=[[0, 1], [0, 1]],
+        type_spaces=[[0], [0]],
+        prior=CommonPrior({(0, 0): 1.0}),
+        cost_fn=lambda i, t, a: float(1 + a[0] + 2 * a[1]),
+    )
+    return spec_to_wire(tabularize(game, name="two-by-two"))
+
+
+#: Cost tables the engines cannot evaluate: each breaks the first cost
+#: entry of :func:`two_by_two_wire`.
+BROKEN_COSTS = {
+    "nan": lambda entries: entries[0].update(cost={"t": "float", "v": "nan"}),
+    "string": lambda entries: entries[0].update(cost="3"),
+    "bool": lambda entries: entries[0].update(cost=True),
+    "missing": lambda entries: entries.pop(0),
+}
+
+
+def broken_cost_wire(case):
+    wire = two_by_two_wire()
+    BROKEN_COSTS[case](wire["costs"])
+    return wire
+
+
+class TestCostTable:
+    def test_valid_table_passes(self):
+        assert spec_from_wire(two_by_two_wire()).costs[(0, (0, 0), (1, 1))] == 4.0
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_COSTS))
+    def test_unusable_cost_table_raises(self, case):
+        message = "missing cost" if case == "missing" else "must be a number"
+        with pytest.raises(CodecError, match=message):
+            spec_from_wire(broken_cost_wire(case))
+
+    def test_missing_feasible_list_of_a_support_type_raises(self):
+        wire = two_by_two_wire()
+        wire["feasible"] = wire["feasible"][1:]
+        with pytest.raises(CodecError, match="missing feasible actions of agent 0"):
+            spec_from_wire(wire)
+
+    def test_short_support_state_raises(self):
+        wire = two_by_two_wire()
+        wire["support"][0]["profile"] = [0]
+        with pytest.raises(CodecError, match="one type per agent"):
             spec_from_wire(wire)
 
 

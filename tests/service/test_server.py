@@ -25,6 +25,7 @@ from repro.service import (
 
 from fuzz_games import spec_for_seed
 from fuzz_harness import random_profiles
+from test_codec import BROKEN_COSTS, broken_cost_wire
 
 
 def raw_request(server, method, path, payload=None):
@@ -205,6 +206,24 @@ class TestErrorBodies:
             assert status == 400, queries
             assert body["error"]["code"] == "bad-request"
             assert "malformed query bundle" in body["error"]["message"]
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_COSTS))
+    def test_unusable_cost_table_is_a_submit_400(self, server, case):
+        """A NaN, non-number or missing cost is refused when the game is
+        submitted, on both submit paths, instead of failing its queries."""
+        wire = broken_cost_wire(case)
+        status, body = raw_request(server, "POST", "/v1/games", {"game": wire})
+        assert status == 400, body
+        assert body["error"]["code"] == "bad-request"
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {"games": [{"game": wire}], "queries": [{"measure": "opt_p"}]},
+        )
+        assert status == 200, body
+        row = body["results"][0]
+        assert row["status"] == 400, row
+        assert row["error"]["code"] == "bad-request"
+        assert len(server.registry) == 0
 
     @pytest.mark.parametrize("path", DYNAMICS_PATHS)
     def test_bad_max_rounds_400(self, server, path):
