@@ -37,7 +37,7 @@ class _BlockCache:
 
     ``cache[s]`` is state ``s``'s block: resident blocks are served (and
     refreshed), missing ones come from ``tabulate(s)`` and are admitted.
-    Tracks residency in *cells* (``k * N_s`` per block) against a fixed
+    Tracks residency in *cells* (``costs.size`` per block) against a fixed
     budget: inserting a block evicts least-recently-used blocks until
     the new total fits.  A single block larger than the whole budget is
     still admitted (alone) — the cache bounds *residency*, it never
@@ -99,13 +99,13 @@ class _BlockCache:
         return self._blocks.get(s)
 
     def put(self, s: int, block: StateTensor) -> None:
-        size = block.size * block.num_agents
+        size = block.costs.size
         old = self._blocks.pop(s, None)
         if old is not None:
-            self.cells -= old.size * old.num_agents
+            self.cells -= old.costs.size
         while self._blocks and self.cells + size > self.budget:
             _, old = self._blocks.popitem(last=False)
-            self.cells -= old.size * old.num_agents
+            self.cells -= old.costs.size
             self.evictions += 1
         self._blocks[s] = block
         self.cells += size

@@ -626,7 +626,7 @@ class BatchSession:
     one result row per game, **bit-identical** (values and raised
     errors) to calling :meth:`GameSession.evaluate` per game.  The
     structure-of-arrays fast path buckets lowerable games by
-    :func:`repro.core.tensor.batch_signature` — same per-agent feasible
+    :attr:`repro.core.tensor.TensorGame.signature` — same per-agent feasible
     radices, same support shapes — stacks each bucket's cost tensors on
     a leading game axis (:func:`repro.core.tensor.stack_lanes`), and
     runs :class:`~repro.core.tensor.TensorGame`'s lane kernels (the
@@ -746,10 +746,7 @@ class BatchSession:
             if lowered is None:
                 fallback += 1
                 continue
-            key = (
-                session.max_strategy_profiles,
-                tensor.batch_signature(lowered),
-            )
+            key = (session.max_strategy_profiles, lowered.signature)
             buckets.setdefault(key, []).append(index)
         return buckets, fallback
 

@@ -47,7 +47,8 @@ choice: a game within :data:`TENSOR_MAX_CELLS` cells gets the *pinned*
 store (every block tabulated at lowering), a bigger one the bounded LRU
 of :mod:`repro.core.lazy`, which tabulates a block the first time a
 kernel touches it.  Per-state geometry (shapes, strides, sizes) comes
-from the one structural walk, so nothing structural ever needs a block.
+from the one structural walk, so a block holds only costs, and each
+(agent, positive type) interim row is one ``_Row`` that every kernel reads.
 
 Engine selection: the ``REPRO_ENGINE`` environment variable chooses the
 default — ``"auto"`` (lower when possible) or ``"reference"`` (never
@@ -68,8 +69,9 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,10 +187,7 @@ def _tabulate(spaces: Sequence[Sequence[Action]], cost_of) -> np.ndarray:
     cells the reference enumeration would evaluate, in the same order.
     """
     k = len(spaces)
-    size = 1
-    for space in spaces:
-        size *= len(space)
-    costs = np.empty((k, size), dtype=float)
+    costs = np.empty((k, math.prod(len(space) for space in spaces)), dtype=float)
     flat = 0
     for combo in product(*spaces):
         for agent in range(k):
@@ -229,25 +228,17 @@ class StateTensor:
     Axis ``i`` of the conceptual cost cube indexes agent ``i``'s feasible
     actions in feasible-list order; ``costs`` stores the cube flattened
     C-order as ``(k, N)`` so flat indices enumerate profiles in exactly
-    the reference ``itertools.product`` order.  Built only by
+    the reference ``itertools.product`` order.  The cube's geometry is
+    the lowering's (``TensorGame.state_shapes``).  Built only by
     :func:`_lower`'s ``tabulate`` and read through
     :meth:`TensorGame.state_block`.
     """
 
-    __slots__ = ("actions", "shape", "size", "costs", "social")
+    __slots__ = ("costs", "social")
 
-    def __init__(
-        self, actions: Sequence[Sequence[Action]], costs: np.ndarray
-    ) -> None:
-        self.actions = [list(space) for space in actions]
-        self.shape = tuple(len(space) for space in self.actions)
-        self.size = math.prod(self.shape)
+    def __init__(self, costs: np.ndarray) -> None:
         self.costs = costs
         self.social = costs.sum(axis=0)
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.actions)
 
     def optimum(self) -> float:
         """``min_a K_t(a)`` over the feasible product."""
@@ -266,17 +257,13 @@ class _AgentSpace:
     types); a strategy index's digit at position ``p`` indexes into it.
     """
 
-    __slots__ = ("choices", "radix", "strides", "count", "exact_count")
+    __slots__ = ("choices", "radix", "strides", "exact_count")
 
     def __init__(self, choices: List[List[Action]]) -> None:
         self.choices = choices
         self.radix = tuple(len(space) for space in choices)
         self.strides = _c_strides(self.radix)
-        self.count = product_size(self.radix)  # float, for guard math
-        exact = 1
-        for n in self.radix:
-            exact *= n
-        self.exact_count = exact
+        self.exact_count = math.prod(self.radix)
 
     def decode(self, index: int) -> Tuple[Action, ...]:
         return tuple(
@@ -301,6 +288,20 @@ def decode_profile(agents: Sequence[_AgentSpace], flat: int) -> StrategyProfile:
         flat, index = divmod(flat, agent.exact_count)
         strategies.append(agent.decode(index))
     return tuple(reversed(strategies))
+
+
+class _Row:
+    """The interim row of one (agent, positive type), which every kernel
+    that checks or takes a best response there reads: the type position
+    ``tpos``, the conditional ``states`` (prior-support order), their
+    ``(1, m)`` posterior ``weights``, the deviation count ``n_dev``, and
+    per state the deviation ``offsets`` ``stride_i * arange(n_dev)``."""
+
+    __slots__ = ("tpos", "states", "weights", "n_dev", "offsets")
+
+    def __init__(self, tpos, states, weights, n_dev, offsets) -> None:
+        self.tpos, self.states, self.weights = tpos, states, weights
+        self.n_dev, self.offsets = n_dev, offsets
 
 
 @dataclass
@@ -358,20 +359,20 @@ class _RowTable:
     (the reference error path); it is ``None`` when no cell is bad.
     """
 
-    __slots__ = ("states", "strides", "good", "bad")
+    __slots__ = ("strides", "good", "bad")
 
-    def __init__(self, states, strides, good, bad) -> None:
-        self.states = states
+    def __init__(self, strides, good, bad) -> None:
         self.strides = strides
         self.good = good
         self.bad = bad
 
-    def cells(self, state_flat: List[np.ndarray]) -> np.ndarray:
-        """Joint cell of every profile in a block, from its state cells."""
-        if len(self.states) == 1:
-            return state_flat[self.states[0]]
-        joint = state_flat[self.states[0]] * self.strides[0]
-        for s, stride in zip(self.states[1:], self.strides[1:]):
+    def cells(self, states: List[int], state_flat: List[np.ndarray]) -> np.ndarray:
+        """Joint cell of every profile in a block, from the flat cells of
+        the row's conditional ``states``."""
+        if len(states) == 1:
+            return state_flat[states[0]]
+        joint = state_flat[states[0]] * self.strides[0]
+        for s, stride in zip(states[1:], self.strides[1:]):
             joint = joint + state_flat[s] * stride
         return joint
 
@@ -379,8 +380,7 @@ class _RowTable:
 def _row_table(
     template: "TensorGame",
     agent: int,
-    cond_states: List[int],
-    n_dev: int,
+    row: _Row,
     state_costs: Sequence[np.ndarray],
     weights: np.ndarray,
 ) -> _RowTable:
@@ -398,6 +398,7 @@ def _row_table(
     where all the ``d_j`` agree.
     """
     group = weights.shape[0]
+    cond_states, n_dev = row.states, row.n_dev
     sizes = [template.state_sizes[s] for s in cond_states]
     full = [group]
     for s, size in zip(cond_states, sizes):
@@ -419,7 +420,6 @@ def _row_table(
     good = ~lt_array(best, interim)
     bad = ~(best < np.inf)
     return _RowTable(
-        cond_states,
         _c_strides(sizes),
         np.broadcast_to(good, full).reshape(group, -1),
         np.broadcast_to(bad, full).reshape(group, -1) if bad.any() else None,
@@ -449,16 +449,14 @@ def equilibrium_tables(
     tables: List[List[Optional[_RowTable]]] = []
     for i, rows in enumerate(template._cond):
         built: List[Optional[_RowTable]] = []
-        for (_tpos, cond_states, _w, n_dev), weights in zip(rows, cond_weights[i]):
-            cells = product_size(template.state_sizes[s] for s in cond_states)
-            if len(cond_states) > 1 and (
-                cells > profiles or group * cells * n_dev > BLOCK_CELLS
+        for row, weights in zip(rows, cond_weights[i]):
+            cells = product_size(template.state_sizes[s] for s in row.states)
+            if len(row.states) > 1 and (
+                cells > profiles or group * cells * row.n_dev > BLOCK_CELLS
             ):
                 built.append(None)
                 continue
-            built.append(
-                _row_table(template, i, cond_states, n_dev, state_costs, weights)
-            )
+            built.append(_row_table(template, i, row, state_costs, weights))
         tables.append(built)
     return tables
 
@@ -511,36 +509,29 @@ class TensorGame:
             pos = [game.type_position(i, profile[i]) for profile in states]
             self._state_pos.append(pos)
             self._used_positions.append(sorted(set(pos)))
-        # Interim structure: per (agent, positive type): the conditional
-        # state indices with posterior weights (prior-support order) and
-        # the type's position / deviation count.
-        self._cond: List[List[Tuple[int, List[int], np.ndarray, int]]] = []
-        for i in range(game.num_agents):
-            rows = []
+        # One _Row per (agent, positive type) in reference sweep order,
+        # and each type's row (the first occurrence wins).
+        self._cond: List[List[_Row]] = []
+        self._rows_by_type: List[Dict[Hashable, _Row]] = []
+        for i, agent in enumerate(agents):
+            rows, by_type = [], {}
             for ti in game.prior.positive_types(i):
                 indices = [s for s, profile in enumerate(states) if profile[i] == ti]
                 # Sequential fold, matching prior.conditional exactly.
                 total = 0.0
                 for s in indices:
                     total += float(probs[s])
-                rows.append(
-                    (
-                        game.type_position(i, ti),
-                        indices,
-                        probs[indices] / total,
-                        len(game.feasible_actions(i, ti)),
-                    )
+                tpos = game.type_position(i, ti)
+                # A positive type's choices are its whole feasible list.
+                deviations = np.arange(agent.radix[tpos], dtype=np.int64)
+                row = _Row(
+                    tpos, indices, (probs[indices] / total)[None], len(deviations),
+                    [self.state_strides[s][i] * deviations for s in indices],
                 )
+                rows.append(row)
+                by_type.setdefault(ti, row)
             self._cond.append(rows)
-        # The same weights as one-lane ``(1, m)`` views, the form the lane
-        # kernels (sweep, equilibrium tables) read.
-        self._lane_weights = [[row[2][None] for row in rows] for rows in self._cond]
-        # Positive types in reference sweep order, keyed for the interim
-        # entry points; the expected-cost tables are built lazily.
-        self._cond_types: List[List] = [
-            list(game.prior.positive_types(i)) for i in range(game.num_agents)
-        ]
-        self._interim_tables: Optional[List[List[Tuple]]] = None
+            self._rows_by_type.append(by_type)
         self._eq_tables: Optional[List[List[Optional[_RowTable]]]] = None
 
     # ------------------------------------------------------------------
@@ -554,6 +545,24 @@ class TensorGame:
         store) rather than on demand (the LRU store)."""
         return isinstance(self.store, list)
 
+    @cached_property
+    def signature(self) -> Tuple:
+        """Everything *structural* about this lowering, computed on first
+        use: the agents' radices, the state shapes, each agent's digit
+        position per state, and each row's ``(tpos, states, n_dev)``.
+        Equal signatures differ only in **data** (probabilities, costs,
+        weights; labels never enter a kernel), so :func:`stack_lanes`
+        stacks them and ``BatchSession`` buckets by it."""
+        return (
+            tuple(agent.radix for agent in self.agents),
+            tuple(self.state_shapes),
+            tuple(tuple(pos) for pos in self._state_pos),
+            tuple(
+                tuple((row.tpos, tuple(row.states), row.n_dev) for row in rows)
+                for rows in self._cond
+            ),
+        )
+
     def state_block(self, s: int) -> StateTensor:
         """Support state ``s``'s :class:`StateTensor` (tabulated on an LRU
         miss, in the pinned lowering's callback order)."""
@@ -564,7 +573,8 @@ class TensorGame:
         return None if self.pinned else self.store.stats()
 
     def profile_count(self) -> float:
-        return product_size(agent.count for agent in self.agents)
+        # Float products, per agent then over agents: the reference guard math.
+        return product_size(product_size(agent.radix) for agent in self.agents)
 
     def decode_profile(self, flat: int) -> StrategyProfile:
         return decode_profile(self.agents, flat)
@@ -574,7 +584,7 @@ class TensorGame:
         under :data:`BLOCK_CELLS`."""
         widest = max(
             [1]
-            + [row[3] for rows in self._cond for row in rows]
+            + [row.n_dev for rows in self._cond for row in rows]
             + [len(self.states)]
         )
         return max(1, min(1 << 16, BLOCK_CELLS // max(1, widest * group)))
@@ -591,11 +601,9 @@ class TensorGame:
         if not self.pinned:
             return None
         if self._eq_tables is None:
-            self._eq_tables = equilibrium_tables(
-                self,
-                [block.costs[None] for block in self.store],
-                self._lane_weights,
-            )
+            lanes = self.lanes()
+            costs = [lanes.blocks(s)[0] for s in range(len(self.states))]
+            self._eq_tables = equilibrium_tables(self, costs, lanes.weights)
         return self._eq_tables
 
     # ------------------------------------------------------------------
@@ -627,14 +635,15 @@ class TensorGame:
     def lanes(self) -> Lanes:
         """This game as a zero-copy one-lane :class:`Lanes` view: ``[None]``
         views of its blocks, read through :meth:`state_block` (so the LRU
-        store sees the same block reads), and its cached tables."""
+        store sees the same block reads), its rows' weights and tables."""
 
         def blocks(s: int) -> Tuple[np.ndarray, np.ndarray]:
             state = self.state_block(s)
             return state.costs[None], state.social[None]
 
         return Lanes(
-            [self], self.probs[None], blocks, self._lane_weights,
+            [self], self.probs[None], blocks,
+            [[row.weights for row in rows] for rows in self._cond],
             self._equilibrium_tables,
         )
 
@@ -777,7 +786,7 @@ class TensorGame:
                 for r, row in enumerate(self._cond[i]):
                     if row_tables is None or row_tables[i][r] is None:
                         own[i, r] = len(forms)
-                        forms.append([(1, i, row[0])])
+                        forms.append([(1, i, row.tpos)])
         indices = self._profile_indexer(forms, block)
 
         for lo in range(0, total, block):
@@ -802,10 +811,10 @@ class TensorGame:
 
             ok = np.ones((group, hi - lo), dtype=bool)
             for i in range(k):
-                for r, (_tpos, cond_states, _w, n_dev) in enumerate(self._cond[i]):
+                for r, row in enumerate(self._cond[i]):
                     table = None if row_tables is None else row_tables[i][r]
                     if table is not None:
-                        cells = table.cells(state_flat)
+                        cells = table.cells(row.states, state_flat)
                         good = table.good.take(cells, axis=1)
                         bad = None if table.bad is None else table.bad.take(cells, axis=1)
                     else:
@@ -813,15 +822,14 @@ class TensorGame:
                         # table guard): gather the (G x block x n_dev)
                         # interim matrix directly.
                         digit = index_block[own[i, r]]
-                        deviations = np.arange(n_dev, dtype=np.int64)
-                        interim = np.zeros((group, hi - lo, n_dev), dtype=float)
-                        for position, s in enumerate(cond_states):
-                            stride = self.state_strides[s][i]
-                            others = state_flat[s] - stride * digit
+                        interim = np.zeros((group, hi - lo, row.n_dev), dtype=float)
+                        for position, (s, offsets) in enumerate(
+                            zip(row.states, row.offsets)
+                        ):
+                            others = state_flat[s] - self.state_strides[s][i] * digit
                             interim += cond_weights[i][r][:, position, None, None] * (
                                 blocks(s)[0][:, i].take(
-                                    others[:, None] + stride * deviations[None, :],
-                                    axis=1,
+                                    others[:, None] + offsets[None, :], axis=1
                                 )
                             )
                         current = interim[:, np.arange(hi - lo), digit]
@@ -985,57 +993,27 @@ class TensorGame:
             decoded.append(tuple(strategy))
         return tuple(decoded)
 
-    def _interim_rows(self) -> List[List[Tuple]]:
-        """Per (agent, positive type): the conditional expected-cost table.
-
-        Each row is ``(tpos, n_dev, entries)`` where every entry
-        ``(state_index, weight, dev_offsets)`` carries the posterior
-        weight plus the precomputed deviation offsets
-        ``stride_i * arange(n_dev)``, so one interim cost vector is a
-        gather-and-accumulate per conditional state — no per-candidate
-        cost callbacks.  The cost rows themselves are read through
-        :meth:`state_block` per call (an LRU block may be evicted between
-        calls).  Built lazily: profile sweeps never need it.
-        """
-        if self._interim_tables is None:
-            tables: List[List[Tuple]] = []
-            for i in range(self.num_agents):
-                rows = []
-                for tpos, cond_states, weights, n_dev in self._cond[i]:
-                    entries = []
-                    for s, weight in zip(cond_states, weights):
-                        entries.append(
-                            (
-                                s,
-                                float(weight),
-                                self.state_strides[s][i]
-                                * np.arange(n_dev, dtype=np.int64),
-                            )
-                        )
-                    rows.append((tpos, n_dev, entries))
-                tables.append(rows)
-            self._interim_tables = tables
-        return self._interim_tables
-
     def _interim_vector(
-        self, agent: int, n_dev: int, entries: List[Tuple], digits: List[List[int]]
+        self, agent: int, row: _Row, digits: List[List[int]]
     ) -> np.ndarray:
         """Interim expected cost of every feasible deviation of ``agent``
-        at one positive type, against the profile ``digits``.
+        at ``row``'s type, against the profile ``digits``.
 
-        The accumulation (conditional states in prior-support order, one
+        Blocks are read through :meth:`state_block` per call (an LRU
+        block may be evicted between calls).  The accumulation
+        (conditional states in prior-support order, one
         ``+= weight * costs`` per state) reproduces the reference scalar
         fold entrywise, so the vector is bit-identical to per-candidate
         ``interim_cost_of_action`` calls.
         """
-        interim = np.zeros(n_dev, dtype=float)
-        for s, weight, dev_offsets in entries:
+        interim = np.zeros(row.n_dev, dtype=float)
+        for s, weight, offsets in zip(row.states, row.weights.tolist()[0], row.offsets):
             strides = self.state_strides[s]
             base = 0
             for j in range(self.num_agents):
                 if j != agent:
                     base += strides[j] * digits[j][self._state_pos[j][s]]
-            interim += weight * self.state_block(s).costs[agent][base + dev_offsets]
+            interim += weight * self.state_block(s).costs[agent][base + offsets]
         return interim
 
     def interim_best_response(
@@ -1047,24 +1025,19 @@ class TensorGame:
         ``ti`` has zero probability or ``strategies`` does not encode
         (callers fall back to the reference path, which also owns the
         error semantics for those inputs)."""
-        try:
-            row_index = self._cond_types[agent].index(ti)
-        except ValueError:
+        row = self._rows_by_type[agent].get(ti)
+        if row is None:
             return None
         digits = self.encode_strategies(strategies)
         if digits is None:
             return None
-        tpos, n_dev, entries = self._interim_rows()[agent][row_index]
-        interim = self._interim_vector(agent, n_dev, entries, digits)
+        interim = self._interim_vector(agent, row, digits)
         best_position = int(interim.argmin())
         if not interim[best_position] < float("inf"):
             # Reference semantics: only candidates of finite interim cost
             # are ever selected; an all-inf row raises there.
             raise RuntimeError("agent has no feasible actions")
-        return (
-            self.agents[agent].choices[tpos][best_position],
-            float(interim[best_position]),
-        )
+        return self.agents[agent].choices[row.tpos][best_position], float(interim[best_position])
 
     def best_response_dynamics(
         self, initial: StrategyProfile, max_rounds: int
@@ -1082,17 +1055,17 @@ class TensorGame:
         digits = self.encode_strategies(initial)
         if digits is None:
             return None
-        tables = self._interim_rows()
         for _ in range(max_rounds):
             changed = False
             for agent in range(self.num_agents):
-                for tpos, n_dev, entries in tables[agent]:
-                    interim = self._interim_vector(agent, n_dev, entries, digits)
+                for row in self._cond[agent]:
+                    interim = self._interim_vector(agent, row, digits)
                     best_position = int(interim.argmin())
                     if not interim[best_position] < float("inf"):
                         raise RuntimeError("agent has no feasible actions")
-                    if lt(float(interim[best_position]), float(interim[digits[agent][tpos]])):
-                        digits[agent][tpos] = best_position
+                    current = float(interim[digits[agent][row.tpos]])
+                    if lt(float(interim[best_position]), current):
+                        digits[agent][row.tpos] = best_position
                         changed = True
             if not changed:
                 return self.decode_digits(initial, digits)
@@ -1133,12 +1106,11 @@ class TensorGame:
                 break
             changed = np.zeros(group, dtype=bool)
             for i in range(k):
-                for (tpos, cond_states, _w, n_dev), weights in zip(
-                    self._cond[i], lanes.weights[i]
-                ):
-                    deviations = np.arange(n_dev, dtype=np.int64)
-                    interim = np.zeros((group, n_dev))
-                    for position, s in enumerate(cond_states):
+                for row, weights in zip(self._cond[i], lanes.weights[i]):
+                    interim = np.zeros((group, row.n_dev))
+                    for position, (s, offsets) in enumerate(
+                        zip(row.states, row.offsets)
+                    ):
                         strides = self.state_strides[s]
                         base = np.zeros(group, dtype=np.int64)
                         for j in range(k):
@@ -1146,7 +1118,7 @@ class TensorGame:
                                 base += strides[j] * digits[j][:, self._state_pos[j][s]]
                         gathered = np.take_along_axis(
                             lanes.blocks(s)[0][:, i, :],
-                            base[:, None] + strides[i] * deviations[None, :],
+                            base[:, None] + offsets[None, :],
                             axis=1,
                         )
                         interim += weights[:, position, None] * gathered
@@ -1158,10 +1130,10 @@ class TensorGame:
                             errors[g] = RuntimeError("agent has no feasible actions")
                         failed |= bad
                         active &= ~bad
-                    current = interim[lane_ids, digits[i][:, tpos]]
+                    current = interim[lane_ids, digits[i][:, row.tpos]]
                     improve = lt_array(best, current) & active
                     if improve.any():
-                        digits[i][improve, tpos] = best_positions[improve]
+                        digits[i][improve, row.tpos] = best_positions[improve]
                         changed |= improve
             done |= active & ~changed
         results: List[Optional[List[List[int]]]] = []
@@ -1192,56 +1164,29 @@ class TensorGame:
 # structure-of-arrays batching: many same-shape games as stacked lanes
 # ----------------------------------------------------------------------
 
-def batch_signature(lowered: TensorGame) -> Tuple:
-    """Hashable description of everything *structural* about a lowering.
-
-    Two lowered games with equal signatures differ only in **data** —
-    state probabilities, cost-table entries, posterior weights — so
-    their tensors stack on a leading game axis and every blocked kernel
-    runs over the whole stack in lockstep (identical profile counts,
-    digit strides, deviation shapes, and conditional-state rows).  The
-    signature covers the per-agent mixed radices, per-state tensor
-    shapes, the strategy-digit position of every agent in every state,
-    and the interim conditional structure; action *labels* and type
-    *labels* are deliberately excluded (they never enter a kernel).
-    :func:`stack_lanes` refuses mixed signatures, so use this as the
-    bucket key.
-    """
-    return (
-        tuple(agent.radix for agent in lowered.agents),
-        tuple(lowered.state_shapes),
-        tuple(tuple(pos) for pos in lowered._state_pos),
-        tuple(
-            tuple((tpos, tuple(indices), n_dev) for tpos, indices, _w, n_dev in rows)
-            for rows in lowered._cond
-        ),
-    )
-
-
 def stack_lanes(lowered: Sequence[TensorGame]) -> Lanes:
     """Stack same-signature lowered games game-major into one
     :class:`Lanes` view: one lane per game, in order.
 
     Refuses an empty list and mixed signatures (bucket by
-    :func:`batch_signature` first).  The equilibrium tables are built
+    :attr:`TensorGame.signature` first).  The equilibrium tables are built
     over the stack each time a sweep asks for them.
     """
     games = list(lowered)
     if not games:
         raise ValueError("stack_lanes needs at least one lowered game")
     template = games[0]
-    signature = batch_signature(template)
     for other in games[1:]:
-        if batch_signature(other) != signature:
+        if other.signature != template.signature:
             raise ValueError(
                 "games in one batch must share a lowering shape; "
-                "bucket by batch_signature() first"
+                "bucket by TensorGame.signature first"
             )
     states = range(len(template.states))
     costs = [np.stack([tg.state_block(s).costs for tg in games]) for s in states]
     social = [np.stack([tg.state_block(s).social for tg in games]) for s in states]
     weights = [
-        [np.stack([tg._cond[i][r][2] for tg in games]) for r in range(len(rows))]
+        [np.concatenate([tg._cond[i][r].weights for tg in games]) for r in range(len(rows))]
         for i, rows in enumerate(template._cond)
     ]
     return Lanes(
@@ -1291,10 +1236,9 @@ def _lower(
     def tabulate(s: int) -> StateTensor:
         profile, spaces = states[s], state_spaces[s]
         return StateTensor(
-            spaces,
             _tabulate(
                 spaces, lambda agent, actions: game.cost(agent, profile, actions)
-            ),
+            )
         )
 
     store = make_store(tabulate, len(states), total_cells)

@@ -365,8 +365,7 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
         }
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed game payload: {error!r}") from None
-    _check_costs(len(action_spaces), support, feasible, costs)
-    return TabularGameSpec(
+    spec = TabularGameSpec(
         action_spaces=action_spaces,
         type_spaces=type_spaces,
         support=support,
@@ -375,39 +374,48 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
         name=payload.get("name", ""),
         meta=payload.get("meta", ""),
     )
+    _check_spec(spec)
+    return spec
 
 
-def _check_costs(
-    num_agents: int,
-    support: List[Tuple[Profile, Any]],
-    feasible: Dict[Tuple[int, Hashable], List[Hashable]],
-    costs: Dict[CostKey, Any],
-) -> None:
-    """Refuse a cost table the engines cannot evaluate: a cost that is
-    not an ``int``/``float`` (a ``bool`` is not a number) or is NaN, or a
-    missing cost over a support state's feasible-action product (the
-    cells :func:`tabularize` writes and every engine reads)."""
-    for (agent, state, actions), cost in costs.items():
+def _check_spec(spec: TabularGameSpec) -> None:
+    """Refuse a game the engines cannot build or evaluate (the list is in
+    ``docs/SERVICE.md``).  A ``bool`` is not a number; a zero
+    probability passes (the prior drops it); every type of every agent
+    needs feasible actions, since a strategy picks one at each type."""
+    k = spec.num_agents
+    states = [state for state, _ in spec.support]
+    for state, prob in spec.support:
+        if len(state) != k:
+            raise CodecError(f"support state {state!r} needs one type per agent ({k})")
+        if type(prob) not in (int, float) or not 0 <= prob < math.inf:
+            raise CodecError(
+                f"probability of support state {state!r} must be a finite, "
+                f"non-negative number: got {prob!r}"
+            )
+    if len(set(states)) < len(states):
+        raise CodecError("a support state is listed twice")
+    for agent, space in enumerate(spec.type_spaces):
+        for ti in space:
+            if not spec.feasible.get((agent, ti)):
+                raise CodecError(
+                    f"missing feasible actions of agent {agent} for type {ti!r}"
+                )
+    try:
+        spec.build()
+    except ValueError as error:
+        raise CodecError(f"unusable game: {error}") from None
+    for (agent, state, actions), cost in spec.costs.items():
         if type(cost) not in (int, float) or cost != cost:
             raise CodecError(
                 f"cost of agent {agent!r} at state {state!r}, actions "
                 f"{actions!r} must be a number, not NaN: got {cost!r}"
             )
-    for state, _ in support:
-        if len(state) != num_agents:
-            raise CodecError(
-                f"support state {state!r} needs one type per agent ({num_agents})"
-            )
-        spaces = []
-        for agent, ti in enumerate(state):
-            if (agent, ti) not in feasible:
-                raise CodecError(
-                    f"missing feasible actions of agent {agent} for type {ti!r}"
-                )
-            spaces.append(feasible[(agent, ti)])
+    for state in states:
+        spaces = [spec.feasible[(agent, ti)] for agent, ti in enumerate(state)]
         for actions in product(*spaces):
-            for agent in range(num_agents):
-                if (agent, state, actions) not in costs:
+            for agent in range(k):
+                if (agent, state, actions) not in spec.costs:
                     raise CodecError(
                         f"missing cost of agent {agent} at state {state!r}, "
                         f"actions {actions!r}"

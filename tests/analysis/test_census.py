@@ -99,7 +99,7 @@ class TestCensusGame:
             for m in range(3)
         ]
         assert all(tg is not None for tg in lowered)
-        assert len({tensor.batch_signature(tg) for tg in lowered}) == 1
+        assert len({tg.signature for tg in lowered}) == 1
 
     def test_ncs_members_are_deterministic(self):
         first = census_game("ncs", 2, 2, 4, 0, member=1)
@@ -155,7 +155,7 @@ class TestPopulationFamilies:
                 for member in range(3)
             ]
             assert all(tg is not None for tg in lowered)
-            assert len({tensor.batch_signature(tg) for tg in lowered}) == 1
+            assert len({tg.signature for tg in lowered}) == 1
 
     def test_unknown_family_is_refused(self):
         with pytest.raises(ValueError, match="unknown population family"):

@@ -91,15 +91,13 @@ def _check_reference(name, member, tg, max_profiles, sweep, error, checked=True)
 class TestBatchSignature:
     def test_same_family_members_share_a_signature(self):
         _games, lowered = _family("tiny-2x2x2s2", 4)
-        signatures = {tensor.batch_signature(tg) for tg in lowered}
+        signatures = {tg.signature for tg in lowered}
         assert len(signatures) == 1
 
     def test_families_differ(self):
         _g1, tiny = _family("tiny-2x2x2s2", 1)
         _g2, bench = _family("bench-3x2x2s4", 1)
-        assert tensor.batch_signature(tiny[0]) != tensor.batch_signature(
-            bench[0]
-        )
+        assert tiny[0].signature != bench[0].signature
 
     def test_mixed_signatures_are_refused(self):
         _g1, tiny = _family("tiny-2x2x2s2", 1)

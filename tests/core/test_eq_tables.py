@@ -69,19 +69,21 @@ def _multi_rows(lowered):
         (i, r)
         for i, rows in enumerate(lowered._cond)
         for r, row in enumerate(rows)
-        if len(row[1]) > 1
+        if len(row.states) > 1
     ]
 
 
 def _brute_force_row(lowered, agent, row):
     """Scalar fold of one row over every own-digit-consistent joint cell:
     ``{joint_cell: (good, bad)}``."""
-    _tpos, cond_states, weights, n_dev = lowered._cond[agent][row]
+    record = lowered._cond[agent][row]
+    cond_states, weights, n_dev = record.states, record.weights[0], record.n_dev
     states = [lowered.state_block(s) for s in cond_states]
     strides = [lowered.state_strides[s][agent] for s in cond_states]
-    joint_strides = tensor._c_strides([state.size for state in states])
+    sizes = [lowered.state_sizes[s] for s in cond_states]
+    joint_strides = tensor._c_strides(sizes)
     verdicts = {}
-    for cells in product(*(range(state.size) for state in states)):
+    for cells in product(*(range(size) for size in sizes)):
         owns = {(cell // stride) % n_dev for cell, stride in zip(cells, strides)}
         if len(owns) != 1:
             continue  # never gathered: the agent's digit is shared
@@ -124,11 +126,11 @@ class TestTables:
         lowered = tensor.lower_game(_two_sided_game(2))
         tables = lowered._equilibrium_tables()
         for agent, rows in enumerate(lowered._cond):
-            for row, (_tpos, cond_states, _w, _n) in enumerate(rows):
-                if len(cond_states) != 1:
+            for row, record in enumerate(rows):
+                if len(record.states) != 1:
                     continue
                 verdicts = _brute_force_row(lowered, agent, row)
-                assert len(verdicts) == lowered.state_sizes[cond_states[0]]
+                assert len(verdicts) == lowered.state_sizes[record.states[0]]
                 for cell, (good, _bad) in verdicts.items():
                     assert bool(tables[agent][row].good[0, cell]) is good
 
@@ -169,9 +171,9 @@ class TestGatherFallback:
         expected = tabled.sweep_profiles(BIG, collect_equilibria=True)
         (agent, row), *_ = _multi_rows(tabled)
         assert tabled._equilibrium_tables()[agent][row] is not None
-        _tpos, cond_states, _w, n_dev = tabled._cond[agent][row]
-        joint = n_dev
-        for s in cond_states:
+        record = tabled._cond[agent][row]
+        joint = record.n_dev
+        for s in record.states:
             joint *= tabled.state_sizes[s]
         monkeypatch.setattr(tensor, "BLOCK_CELLS", joint - 1)
         gathered = tensor.lower_game(game)
@@ -181,7 +183,7 @@ class TestGatherFallback:
             table is not None
             for rows, conds in zip(tables, gathered._cond)
             for table, cond in zip(rows, conds)
-            if len(cond[1]) == 1
+            if len(cond.states) == 1
         )
         assert gathered.sweep_profiles(BIG, collect_equilibria=True) == expected
         lanes = tensor.stack_lanes([gathered, tensor.lower_game(game)])

@@ -76,7 +76,7 @@ def tie_rich_game() -> BayesianGame:
 
 def _block(num_actions: int) -> StateTensor:
     """A 1-agent StateTensor with ``num_actions`` cells."""
-    return StateTensor([list(range(num_actions))], np.zeros((1, num_actions)))
+    return StateTensor(np.zeros((1, num_actions)))
 
 
 def _cache(budget: int) -> _BlockCache:
@@ -160,7 +160,7 @@ class TestBlockCache:
     def test_indexing_tabulates_on_a_miss_only(self):
         cache = _cache(100)
         block = cache[2]
-        assert block.size == 3
+        assert block.costs.size == 3
         assert (cache.hits, cache.misses, cache.cells) == (0, 1, 3)
         assert cache[2] is block
         assert (cache.hits, cache.misses) == (1, 1)
@@ -180,13 +180,19 @@ class TestLowerGameLazy:
         assert np.array_equal(lazy.probs, dense.probs)
         blocks = [dense.state_block(s) for s in range(len(dense.states))]
         assert dense.pinned and not lazy.pinned
-        assert lazy.state_shapes == dense.state_shapes == [b.shape for b in blocks]
-        assert lazy.state_sizes == dense.state_sizes == [b.size for b in blocks]
+        shapes = [
+            tuple(len(game.feasible_actions(i, ti)) for i, ti in enumerate(state))
+            for state in dense.states
+        ]
+        assert lazy.state_shapes == dense.state_shapes == shapes
+        assert lazy.state_sizes == dense.state_sizes == [
+            b.costs.shape[1] for b in blocks
+        ]
         assert lazy.state_strides == dense.state_strides == [
-            tensor._c_strides(b.shape) for b in blocks
+            tensor._c_strides(shape) for shape in shapes
         ]
         assert lazy.total_cells == dense.total_cells == sum(
-            b.size * b.num_agents for b in blocks
+            b.costs.size for b in blocks
         )
         assert lazy.profile_strides == dense.profile_strides
         assert lazy.profile_count() == dense.profile_count()
@@ -411,7 +417,7 @@ class TestRestrictedSweep:
             (i, r)
             for i, rows in enumerate(pinned._cond)
             for r, row in enumerate(rows)
-            if len(row[1]) > 1
+            if len(row.states) > 1
         ]
         assert multi and all(tables[i][r] is not None for i, r in multi)
         assert lru._equilibrium_tables() is None

@@ -235,14 +235,16 @@ class TestBayesianParity:
                 )
 
 
-def _assert_block_nash_matches(block, is_nash):
-    """The pure-Nash fold on one lowered cost block agrees with the
-    reference verdict ``is_nash(actions)`` profile by profile, in the
-    block's C-order (the reference enumeration order)."""
-    masks, errors = nash_masks(block.costs[None], block.shape)
+def _assert_block_nash_matches(lowered, is_nash):
+    """The pure-Nash fold on a one-state lowering's cost block agrees
+    with the reference verdict ``is_nash(actions)`` profile by profile,
+    in the block's C-order (the reference enumeration order)."""
+    block = lowered.state_block(0)
+    masks, errors = nash_masks(block.costs[None], lowered.state_shapes[0])
     assert errors == [None]
-    profiles = list(product(*block.actions))
-    assert len(profiles) == block.size == masks.shape[1]
+    underlying = lowered.game.underlying_game(lowered.states[0])
+    profiles = list(enumerate_action_profiles(underlying))
+    assert len(profiles) == lowered.state_sizes[0] == masks.shape[1]
     for flat, actions in enumerate(profiles):
         assert bool(masks[0, flat]) is is_nash(actions), actions
 
@@ -256,9 +258,7 @@ class TestNashParity:
         lowered = lower_game(game)
         assert lowered is not None and lowered.states == [(0, 0)]
         reference = enumerate_nash_equilibria(game.underlying_game((0, 0)))
-        _assert_block_nash_matches(
-            lowered.state_block(0), lambda actions: actions in reference
-        )
+        _assert_block_nash_matches(lowered, lambda actions: actions in reference)
 
     def test_no_nash_raises_in_both_engines(self):
         for engine in ("reference", "auto"):
@@ -289,7 +289,7 @@ class TestNashParity:
             game = MatrixGame.random((3, 4, 2), rng)
             lowered = lower_game(game.to_bayesian())
             assert lowered is not None
-            _assert_block_nash_matches(lowered.state_block(0), game.is_nash)
+            _assert_block_nash_matches(lowered, game.is_nash)
 
 
 class TestGuards:
@@ -365,7 +365,7 @@ def _sweep_forms(lowered):
         [(strides[i], i, lowered._state_pos[i][s]) for i in range(k)]
         for s, strides in enumerate(lowered.state_strides)
     ]
-    forms += [[(1, i, row[0])] for i in range(k) for row in lowered._cond[i]]
+    forms += [[(1, i, row.tpos)] for i in range(k) for row in lowered._cond[i]]
     return forms
 
 
@@ -465,7 +465,10 @@ class TestLoweringInternals:
         underlying = matching_state.underlying_game((0, 0))
         profiles = list(enumerate_action_profiles(underlying))
         assert profiles == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        assert list(product(*state.actions)) == profiles
+        axes = [
+            lowered.agents[i].choices[lowered._state_pos[i][0]] for i in range(2)
+        ]
+        assert list(product(*axes)) == profiles
         for flat, actions in enumerate(profiles):
             assert state.costs[:, flat].tolist() == [
                 underlying.cost(agent, actions) for agent in range(2)

@@ -631,9 +631,7 @@ def check_lazy_spec(
         reference = run_reference_lazy_battery(spec, spec.build())
     dense_col = run_kernel_battery(spec, dense)
     lazy_col = run_kernel_battery(spec, lazy)
-    cells = sum(
-        block.size * block.num_agents for block in lazy.store._blocks.values()
-    )
+    cells = sum(block.costs.size for block in lazy.store._blocks.values())
     assert lazy.store.cells == cells, (
         f"block cache accounting drifted: tracked {lazy.store.cells} cells, "
         f"resident blocks hold {cells}"

@@ -192,15 +192,14 @@ class TestHarnessDetectsFaults:
             # type whose interim row ties at the minimum.
             digits = self.encode_strategies(result)
             assert digits is not None
-            tables = self._interim_rows()
             for agent in range(self.num_agents):
-                for tpos, n_dev, entries in tables[agent]:
-                    vector = self._interim_vector(agent, n_dev, entries, digits)
+                for row in self._cond[agent]:
+                    vector = self._interim_vector(agent, row, digits)
                     best = vector.min()
                     positions = [
-                        p for p in range(n_dev) if vector[p] == best
+                        p for p in range(row.n_dev) if vector[p] == best
                     ]
-                    digits[agent][tpos] = positions[-1]
+                    digits[agent][row.tpos] = positions[-1]
             return self.decode_digits(result, digits)
 
         monkeypatch.setattr(

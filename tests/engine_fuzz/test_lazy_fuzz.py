@@ -99,7 +99,7 @@ class TestHarnessDetectsFaults:
             def skewed(s):
                 block = tabulate(s)
                 if s in tabulated:
-                    block = StateTensor(block.actions, block.costs + 0.125)
+                    block = StateTensor(block.costs + 0.125)
                 tabulated.add(s)
                 return block
 
@@ -136,7 +136,7 @@ class TestHarnessDetectsFaults:
         without updating its bookkeeping must be caught."""
 
         def no_bookkeeping_evict(self, s, block):
-            size = block.size * block.num_agents
+            size = block.costs.size
             while self._blocks and self.cells + size > self.budget:
                 self._blocks.popitem(last=False)  # forgets cells/evictions
             self._blocks[s] = block

@@ -11,9 +11,10 @@ import pytest
 
 from repro.analysis.census import population_game
 from repro.core.session import GameSession, query
-from repro.service.codec import coerce_spec, spec_to_wire
+from repro.service.codec import coerce_spec, decode_result, spec_to_wire
 
 from fuzz_games import spec_for_seed
+from test_codec import BROKEN_GAMES, broken_game_wire
 from test_server import raw_request
 
 BUNDLE = [
@@ -68,6 +69,26 @@ class TestBatchEvaluate:
         with pytest.raises(RuntimeError) as info:
             client.evaluate_many(games, BUNDLE)
         assert str(info.value) == first[2]
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_GAMES))
+    def test_unusable_game_is_one_400_row_beside_a_good_game(self, server, case):
+        good = spec_for_seed(0)
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {
+                "games": [
+                    {"game": broken_game_wire(case)},
+                    {"game": spec_to_wire(good)},
+                ],
+                "queries": [{"measure": "opt_p"}, {"measure": "opt_c"}],
+            },
+        )
+        assert status == 200, body
+        bad, row = body["results"]
+        assert bad["status"] == 400, bad
+        assert bad["error"]["code"] == "bad-request"
+        values = [decode_result(value) for value in row["values"]]
+        assert values == GameSession(good.build()).evaluate(["opt_p", "opt_c"])
 
     def test_unknown_on_error_mode_is_refused(self, client):
         with pytest.raises(ValueError, match="on_error"):

@@ -192,6 +192,75 @@ class TestCostTable:
             spec_from_wire(wire)
 
 
+#: Games the engines cannot build or evaluate, each one edit of fuzz game
+#: 3's wire form (two support states; agent 0's type 2 lies outside the
+#: support), with the refusal's message.  Before these were refused, the
+#: prior cases answered a 500 at submit and the rest were accepted, then
+#: failed every query with a 500 or a 422.
+BROKEN_GAMES = {
+    "negative-probability": (
+        lambda wire: wire["support"][0].update(prob=-0.5),
+        "finite, non-negative number",
+    ),
+    "string-probability": (
+        lambda wire: wire["support"][0].update(prob="0.5"),
+        "finite, non-negative number",
+    ),
+    "bool-probability": (
+        lambda wire: wire.update(support=[dict(wire["support"][0], prob=True)]),
+        "finite, non-negative number",
+    ),
+    "sum-below-one": (
+        lambda wire: wire["support"][0].update(
+            prob=0.9999 - wire["support"][1]["prob"]
+        ),
+        "sum to",
+    ),
+    "empty-support": (
+        lambda wire: wire["support"].clear(),
+        "non-empty support",
+    ),
+    "duplicate-state": (
+        lambda wire: wire["support"].append(dict(wire["support"][0])),
+        "listed twice",
+    ),
+    "missing-feasible-outside-support": (
+        lambda wire: wire.update(
+            feasible=[
+                entry for entry in wire["feasible"]
+                if (entry["agent"], entry["type"]) != (0, 2)
+            ]
+        ),
+        "missing feasible actions of agent 0 for type 2",
+    ),
+    "empty-feasible": (
+        lambda wire: wire["feasible"][3].update(actions=[]),
+        "missing feasible actions of agent 1 for type 0",
+    ),
+}
+
+
+def broken_game_wire(case):
+    wire = spec_to_wire(spec_for_seed(3))
+    BROKEN_GAMES[case][0](wire)
+    return wire
+
+
+class TestGameChecks:
+    @pytest.mark.parametrize("case", sorted(BROKEN_GAMES))
+    def test_unusable_game_raises(self, case):
+        with pytest.raises(CodecError, match=BROKEN_GAMES[case][1]):
+            spec_from_wire(broken_game_wire(case))
+
+    def test_zero_probability_entry_passes(self):
+        """A zero-probability support entry is accepted; the prior drops it."""
+        wire = spec_to_wire(spec_for_seed(3))
+        wire["support"][0]["prob"] = 0.0
+        wire["support"][1]["prob"] = 1.0
+        game = spec_from_wire(wire).build()
+        assert [profile for profile, _ in game.prior.support()] == [(0, 0, 1)]
+
+
 class TestCoerceSpec:
     def test_spec_passes_through(self):
         spec = spec_for_seed(0)

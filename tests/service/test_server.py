@@ -25,7 +25,7 @@ from repro.service import (
 
 from fuzz_games import spec_for_seed
 from fuzz_harness import random_profiles
-from test_codec import BROKEN_COSTS, broken_cost_wire
+from test_codec import BROKEN_COSTS, BROKEN_GAMES, broken_cost_wire, broken_game_wire
 
 
 def raw_request(server, method, path, payload=None):
@@ -223,6 +223,20 @@ class TestErrorBodies:
         row = body["results"][0]
         assert row["status"] == 400, row
         assert row["error"]["code"] == "bad-request"
+        assert len(server.registry) == 0
+
+    @pytest.mark.parametrize("case", sorted(BROKEN_GAMES))
+    def test_unusable_game_is_a_submit_400(self, server, case):
+        """A prior the game cannot be built on, a duplicated support
+        state, or a type without a usable feasible list is refused when
+        the game is submitted, instead of answering a 500 there or
+        failing every later query."""
+        status, body = raw_request(
+            server, "POST", "/v1/games", {"game": broken_game_wire(case)}
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "bad-request"
+        assert BROKEN_GAMES[case][1] in body["error"]["message"]
         assert len(server.registry) == 0
 
     @pytest.mark.parametrize("path", DYNAMICS_PATHS)
