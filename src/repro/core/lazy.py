@@ -141,7 +141,10 @@ def lower_game_lazy(
     guard: bounding total resident cells is the block cache's job
     (``cache_cells``, defaulting to :func:`default_cache_cells`).
     Uncached and engine-blind; :func:`repro.core.tensor.maybe_lower` is
-    the cached, engine-aware path.
+    the cached, engine-aware path.  Being uncached, the result holds
+    ``game`` strongly (``lowered.game`` stays valid for as long as the
+    lowering lives); the game does not point back at it, so dropping the
+    lowering frees its blocks at once.
     """
     budget = default_cache_cells() if cache_cells is None else cache_cells
     return _lower(

@@ -67,6 +67,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -472,6 +473,12 @@ class TensorGame:
     evicted afterwards.  Both
     index as ``store[s]``, and a re-tabulated block is bit-identical to
     the evicted one, so no kernel result depends on the store.
+
+    Ownership: a lowering cached on its game (:func:`maybe_lower`) holds
+    the game weakly, and its store holds the game's cost callback, not
+    the game, so dropping the game frees both by reference counting.
+    An uncached lowering (``cached=False``) holds its game strongly; the
+    game does not point back at it.
     """
 
     def __init__(
@@ -482,8 +489,9 @@ class TensorGame:
         agents: List[_AgentSpace],
         state_spaces: List[List[List[Action]]],
         store,
+        cached: bool = False,
     ) -> None:
-        self.game = game
+        self._game_ref = weakref.ref(game) if cached else lambda: game
         self.states = states
         self.probs = probs
         self.agents = agents
@@ -535,6 +543,18 @@ class TensorGame:
         self._eq_tables: Optional[List[List[Optional[_RowTable]]]] = None
 
     # ------------------------------------------------------------------
+    @property
+    def game(self) -> BayesianGame:
+        """The lowered game.  Raises :class:`ReferenceError` when the
+        lowering was cached on a game that has since been freed."""
+        game = self._game_ref()
+        if game is None:
+            raise ReferenceError(
+                f"{self!r} was cached on a game that no longer exists; "
+                "lower a live game instead"
+            )
+        return game
+
     @property
     def num_agents(self) -> int:
         return len(self.agents)
@@ -1202,6 +1222,7 @@ def _lower(
     game: BayesianGame,
     max_action_profiles: int,
     make_store,
+    cached: bool = False,
 ) -> Optional[TensorGame]:
     """The structural walk every lowering shares.
 
@@ -1212,7 +1233,10 @@ def _lower(
     ``make_store(tabulate, num_states, total_cells)`` builds the store,
     where ``tabulate(s)`` is state ``s``'s :class:`StateTensor` (one
     ``game.cost`` call per (agent, cell), in the reference enumeration
-    order).  A ``None`` store refuses too.
+    order).  A ``None`` store refuses too.  ``tabulate`` holds the cost
+    callback and not the game, so a store never keeps its game alive;
+    ``cached`` says the lowering will be cached on ``game`` (see
+    :class:`TensorGame`).
     """
     support = game.prior.support()
     states = [tuple(profile) for profile, _ in support]
@@ -1233,18 +1257,20 @@ def _lower(
         total_cells += size * k
         state_spaces.append(spaces)
 
+    # game.cost(i, t, a) is cost_fn(i, tuple(t), tuple(a)), and states
+    # and product() cells are already tuples: the same calls, in order.
+    cost_fn = game._cost_fn
+
     def tabulate(s: int) -> StateTensor:
         profile, spaces = states[s], state_spaces[s]
         return StateTensor(
-            _tabulate(
-                spaces, lambda agent, actions: game.cost(agent, profile, actions)
-            )
+            _tabulate(spaces, lambda agent, actions: cost_fn(agent, profile, actions))
         )
 
     store = make_store(tabulate, len(states), total_cells)
     if store is None:
         return None
-    return TensorGame(game, states, probs, agents, state_spaces, store)
+    return TensorGame(game, states, probs, agents, state_spaces, store, cached)
 
 
 def _pinned_store(tabulate, num_states: int, total_cells: float):
@@ -1291,7 +1317,9 @@ def maybe_lower(
     refusal included, lives in one slot on the game object: a cached
     lowering serves any guard that admits its largest state, a cached
     refusal any guard no looser than the one that refused.
-    :func:`drop_lowering` releases it.
+    :func:`drop_lowering` releases it.  The cached lowering holds the
+    game only weakly (no reference cycle), so the game and its lowering
+    are freed as soon as the last outside reference to the game goes.
     """
     if not tensor_enabled():
         return None
@@ -1302,7 +1330,7 @@ def maybe_lower(
             return cached if cached.max_state_size <= max_action_profiles else None
         if max_action_profiles <= built_guard:
             return None
-    lowered = _lower(game, max_action_profiles, _fitting_store)
+    lowered = _lower(game, max_action_profiles, _fitting_store, cached=True)
     game.__dict__[_LOWERED_ATTR] = (lowered, max_action_profiles)
     return lowered
 

@@ -40,6 +40,35 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..core.session import GameSession
 
 
+def _ncs_cost_fn(graph: Graph):
+    """The NCS cost callback handed to the core game: fair shares of the
+    bought edges, ``+inf`` for an action that does not connect its
+    agent's pair.  It closes over ``graph`` and its own feasibility
+    cache, never over the wrapper: the core game caches its lowering,
+    whose block store holds this callback, so a callback bound to the
+    wrapper would make wrapper, game and lowering one reference cycle."""
+    feasibility: Dict[Tuple[NCSAction, NCSType], bool] = {}
+
+    def connects(action: NCSAction, pair: NCSType) -> bool:
+        key = (action, pair)
+        if key not in feasibility:
+            source, target = pair
+            feasibility[key] = graph.connects(source, target, allowed_edges=set(action))
+        return feasibility[key]
+
+    def cost(agent: int, profile: TypeProfile, actions) -> float:
+        pair = profile[agent]
+        action: NCSAction = actions[agent]
+        if not connects(action, pair):
+            return math.inf
+        if not action:
+            return 0.0
+        loads = edge_loads(tuple(actions))
+        return sum(graph.edge(eid).cost / loads[eid] for eid in action)
+
+    return cost
+
+
 class BayesianNCSGame:
     """A Bayesian NCS game over ``graph`` with pair-valued types.
 
@@ -77,38 +106,16 @@ class BayesianNCSGame:
         action_spaces = [
             self.catalog.union_space(space) for space in normalized_types
         ]
-        self._feasibility_cache: Dict[Tuple[NCSAction, NCSType], bool] = {}
         self._state_opt_cache: Dict[TypeProfile, float] = {}
+        catalog = self.catalog
         self.game = BayesianGame(
             action_spaces,
             normalized_types,
             prior,
-            self._cost,
-            feasible_fn=lambda agent, ti: self.catalog.actions_for(ti),
+            _ncs_cost_fn(graph),
+            feasible_fn=lambda agent, ti: catalog.actions_for(ti),
             name=name,
         )
-
-    # ------------------------------------------------------------------
-    # the cost function handed to the core game
-    # ------------------------------------------------------------------
-    def _connects(self, action: NCSAction, pair: NCSType) -> bool:
-        key = (action, pair)
-        if key not in self._feasibility_cache:
-            source, target = pair
-            self._feasibility_cache[key] = self.graph.connects(
-                source, target, allowed_edges=set(action)
-            )
-        return self._feasibility_cache[key]
-
-    def _cost(self, agent: int, profile: TypeProfile, actions) -> float:
-        pair = profile[agent]
-        action: NCSAction = actions[agent]
-        if not self._connects(action, pair):
-            return math.inf
-        if not action:
-            return 0.0
-        loads = edge_loads(tuple(actions))
-        return sum(self.graph.edge(eid).cost / loads[eid] for eid in action)
 
     # ------------------------------------------------------------------
     # delegation and views

@@ -337,11 +337,30 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
             tuples[key] = tuple(atom(item) for item in items)
         return tuples[key]
 
+    def agent_of(entry: Dict[str, Any]) -> int:
+        # A JSON bool is a Python int, and True == 1 as a dict key.
+        agent = entry["agent"]
+        if type(agent) is not int or not 0 <= agent < k:
+            raise CodecError(
+                f"agent must be an integer from 0 to {k - 1}: got {agent!r}"
+            )
+        return agent
+
+    def keyed(entries, kind: str, key_of, value_of) -> Dict[Any, Any]:
+        table: Dict[Any, Any] = {}
+        for entry in entries:
+            key = key_of(entry)
+            if key in table:
+                raise CodecError(f"a {kind} key is listed twice: {key!r}")
+            table[key] = value_of(entry)
+        return table
+
     try:
         action_spaces = [
             [atom(action) for action in space]
             for space in payload["action_spaces"]
         ]
+        k = len(action_spaces)
         type_spaces = [
             [atom(ti) for ti in space] for space in payload["type_spaces"]
         ]
@@ -349,20 +368,22 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
             (atom_tuple(entry["profile"]), decode_value(entry["prob"]))
             for entry in payload["support"]
         ]
-        feasible = {
-            (entry["agent"], atom(entry["type"])): [
-                atom(action) for action in entry["actions"]
-            ]
-            for entry in payload["feasible"]
-        }
-        costs = {
-            (
-                entry["agent"],
+        feasible = keyed(
+            payload["feasible"],
+            "feasible",
+            lambda entry: (agent_of(entry), atom(entry["type"])),
+            lambda entry: [atom(action) for action in entry["actions"]],
+        )
+        costs = keyed(
+            payload["costs"],
+            "cost",
+            lambda entry: (
+                agent_of(entry),
                 atom_tuple(entry["state"]),
                 atom_tuple(entry["actions"]),
-            ): decode_value(entry["cost"])
-            for entry in payload["costs"]
-        }
+            ),
+            lambda entry: decode_value(entry["cost"]),
+        )
     except (KeyError, TypeError) as error:
         raise CodecError(f"malformed game payload: {error!r}") from None
     spec = TabularGameSpec(

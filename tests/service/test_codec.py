@@ -195,8 +195,9 @@ class TestCostTable:
 #: Games the engines cannot build or evaluate, each one edit of fuzz game
 #: 3's wire form (two support states; agent 0's type 2 lies outside the
 #: support), with the refusal's message.  Before these were refused, the
-#: prior cases answered a 500 at submit and the rest were accepted, then
-#: failed every query with a 500 or a 422.
+#: prior cases and a non-integer agent answered a 500 at submit; the rest
+#: were accepted, then failed every query with a 500 or a 422, or (a bool
+#: or out-of-range agent, a duplicated key) silently changed the game.
 BROKEN_GAMES = {
     "negative-probability": (
         lambda wire: wire["support"][0].update(prob=-0.5),
@@ -236,6 +237,34 @@ BROKEN_GAMES = {
     "empty-feasible": (
         lambda wire: wire["feasible"][3].update(actions=[]),
         "missing feasible actions of agent 1 for type 0",
+    ),
+    "string-agent": (
+        lambda wire: wire["costs"][0].update(agent="x"),
+        "agent must be an integer from 0 to 2",
+    ),
+    "null-agent": (
+        lambda wire: wire["feasible"][0].update(agent=None),
+        "agent must be an integer from 0 to 2",
+    ),
+    "bool-agent": (
+        lambda wire: next(
+            entry for entry in wire["costs"] if entry["agent"] == 1
+        ).update(agent=True),
+        "agent must be an integer from 0 to 2",
+    ),
+    "out-of-range-agent": (
+        lambda wire: wire["costs"].append(dict(wire["costs"][0], agent=7)),
+        "agent must be an integer from 0 to 2",
+    ),
+    "duplicate-cost": (
+        lambda wire: wire["costs"].append(dict(wire["costs"][0], cost=99.0)),
+        "a cost key is listed twice",
+    ),
+    "duplicate-feasible": (
+        lambda wire: wire["feasible"].append(
+            dict(wire["feasible"][1], actions=wire["feasible"][1]["actions"][:1])
+        ),
+        "a feasible key is listed twice",
     ),
 }
 
