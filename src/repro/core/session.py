@@ -13,8 +13,10 @@ from scratch.  This module is the shape the workload actually has:
   calls: the blocked strategy-profile sweep (``optP`` + the Bayesian
   equilibrium extremes + optionally the equilibrium set), per-state
   Nash analyses, per-state optima, and the expected complete-information
-  quantities.  Raised errors are memoized too, so a session re-raises
-  exactly what the corresponding free function would.
+  quantities, all in one memo table.  Raised errors are memoized too,
+  so a session raises exactly what the corresponding free function
+  would; each raise is a fresh copy that keeps no traceback, so no
+  frame holds the session and reference counting alone frees it.
 * :class:`Query` / :func:`query` name one measure declaratively;
   :meth:`GameSession.evaluate` runs a bundle of queries through a tiny
   planner that computes the *union* of their sweep requirements first,
@@ -143,15 +145,24 @@ def _component(pair: Tuple[float, float], kind: str, what: str):
     )
 
 
-def _raise_memoized(error: BaseException, traceback) -> None:
-    """Re-raise a memoized error from its *original* traceback.
+def _detached(error: Exception) -> Exception:
+    """A copy of ``error`` that holds no frames: the same type, ``args``
+    and instance attributes (slots too, such as numpy's ``AxisError``
+    keeps), with no traceback, context or cause.
 
-    A bare ``raise error`` would keep appending the current frames to
-    the one cached exception object on every repeat query; resetting to
-    the capture-time traceback keeps the cached error's memory bounded
-    and its stack trace meaningful in long-lived sessions.
+    A memoized or captured error must not keep its traceback: those
+    frames hold the session (and through it the game and its lowering),
+    so the session would outlive its last reference as cyclic garbage.
     """
-    raise error.with_traceback(traceback)
+    cls = type(error)
+    copy = cls.__new__(cls, *error.args)
+    copy.__dict__.update(vars(error))
+    for klass in cls.__mro__:
+        slots = klass.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name not in ("__dict__", "__weakref__") and hasattr(error, name):
+                setattr(copy, name, getattr(error, name))
+    return copy
 
 
 class GameSession:
@@ -176,10 +187,13 @@ class GameSession:
         functions apply them.
 
     Memoization covers values *and* raised errors: asking twice
-    re-raises the same error the matching free function raises, and a
-    failed equilibrium sweep never poisons sweep-free measures (e.g.
-    ``opt_p`` falls back to its own cheaper sweep, like the free
-    function it replaces).
+    raises a fresh copy of the error the matching free function raises
+    (same type, arguments and attributes; no traceback), and a failed
+    equilibrium sweep never poisons sweep-free measures (e.g. ``opt_p``
+    falls back to its own cheaper sweep, like the free function it
+    replaces).  The session holds no reference back to itself, so
+    dropping its last reference frees it, its game and its lowering at
+    once.
     """
 
     def __init__(
@@ -199,12 +213,11 @@ class GameSession:
         self.max_strategy_profiles = max_strategy_profiles
         self.max_action_profiles = max_action_profiles
         self._lowered_entry: Optional[Tuple[Optional[tensor.TensorGame]]] = None
-        #: (need_eq, collect) -> ("ok", ProfileSweep) | ("err", (error, tb))
-        self._sweeps: Dict[Tuple[bool, bool], Tuple[str, Any]] = {}
-        #: everything else: key -> ("ok", value) | ("err", (error, tb))
+        #: key -> ("ok", value) | ("err", detached error); profile
+        #: sweeps sit under ("sweep", need_eq, collect)
         self._memo: Dict[Any, Tuple[str, Any]] = {}
-        #: Reuse hook for long-lived, shared sessions: the memo dicts are
-        #: not themselves thread-safe, so callers sharing one session
+        #: Reuse hook for long-lived, shared sessions: the memo is not
+        #: itself thread-safe, so callers sharing one session
         #: across threads (e.g. :mod:`repro.service.registry`) hold this
         #: reentrant lock around query work.  Single-threaded use never
         #: touches it.
@@ -213,17 +226,37 @@ class GameSession:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def _entry(self, key: Any) -> Optional[Tuple[str, Any]]:
+        """The memo entry serving ``key`` (a sweep's via :meth:`_served`)."""
+        if key[0] == "sweep":
+            return self._served(key[1], key[2])
+        return self._memo.get(key)
+
+    def _store(
+        self, key: Any, value: Any, error: Optional[Exception] = None
+    ) -> Tuple[str, Any]:
+        """The one memo write: ``value``, or ``error`` detached, under
+        ``key`` unless an entry already serves it (the first write wins).
+        Returns the entry that serves ``key``."""
+        entry = self._entry(key)
+        if entry is None:
+            entry = ("ok", value) if error is None else ("err", _detached(error))
+            self._memo[key] = entry
+        return entry
+
     def _memoized(self, key: Any, compute: Callable[[], Any]) -> Any:
-        entry = self._memo.get(key)
+        entry = self._entry(key)
         if entry is None:
             try:
-                entry = ("ok", compute())
+                value = compute()
             except Exception as error:
-                entry = ("err", (error, error.__traceback__))
-            self._memo[key] = entry
+                error.__traceback__ = None
+                entry = self._store(key, None, error)
+            else:
+                entry = self._store(key, value)
         kind, payload = entry
         if kind == "err":
-            _raise_memoized(*payload)
+            raise _detached(payload)
         return payload
 
     def _kernel(self) -> Optional[tensor.TensorGame]:
@@ -252,26 +285,6 @@ class GameSession:
         lowered = self._kernel()
         return lowered if lowered is not None and not lowered.pinned else None
 
-    def drop_lowering(self, blocking: bool = True) -> bool:
-        """Release the session's lowered forms and the game-object caches.
-
-        The memoized *values* stay (they are small); only the tensors go.
-        A later query transparently re-lowers.  The service registry
-        calls this with ``blocking=False`` when it evicts a session from
-        its LRU: a session mid-query keeps its tensors (the in-flight
-        caller needs them; they are garbage-collected with the session
-        once that caller's reference goes away) and the drop reports
-        ``False`` instead of blocking the submit path.
-        """
-        if not self.lock.acquire(blocking=blocking):
-            return False
-        try:
-            self._lowered_entry = None
-            tensor.drop_lowering(self.game)
-        finally:
-            self.lock.release()
-        return True
-
     # ------------------------------------------------------------------
     # the one shared enumeration
     # ------------------------------------------------------------------
@@ -289,12 +302,16 @@ class GameSession:
         like the free function).
         """
         need_eq = need_eq or collect
-        for (eq, col), entry in self._sweeps.items():
-            if entry[0] == "ok" and (eq or not need_eq) and (col or not collect):
+        levels = [  # most capable first
+            (eq, col, self._memo.get(("sweep", eq, col)))
+            for eq, col in ((True, True), (True, False), (False, False))
+        ]
+        for eq, col, entry in levels:
+            if entry and entry[0] == "ok" and (eq or not need_eq) and (col or not collect):
                 return entry
-        for (eq, _), entry in self._sweeps.items():
-            if entry[0] == "err" and (
-                not eq or need_eq or isinstance(entry[1][0], ExplosionError)
+        for eq, _, entry in levels:
+            if entry and entry[0] == "err" and (
+                not eq or need_eq or isinstance(entry[1], ExplosionError)
             ):
                 return entry
         return None
@@ -306,26 +323,18 @@ class GameSession:
         ``eq_indices`` are positions in
         :func:`~repro.core.strategy.enumerate_strategy_profiles` order."""
         need_eq = need_eq or collect
-        entry = self._served(need_eq, collect)
-        if entry is None:
+
+        def compute() -> tensor.ProfileSweep:
             lowered = self._kernel()
-            try:
-                if lowered is not None:
-                    result = lowered.sweep_profiles(
-                        self.max_strategy_profiles,
-                        collect_equilibria=collect,
-                        check_equilibria=need_eq,
-                    )
-                else:
-                    result = self._reference_sweep(need_eq, collect)
-                entry = ("ok", result)
-            except Exception as error:
-                entry = ("err", (error, error.__traceback__))
-            self._sweeps[(need_eq, collect)] = entry
-        kind, payload = entry
-        if kind == "err":
-            _raise_memoized(*payload)
-        return payload
+            if lowered is None:
+                return self._reference_sweep(need_eq, collect)
+            return lowered.sweep_profiles(
+                self.max_strategy_profiles,
+                collect_equilibria=collect,
+                check_equilibria=need_eq,
+            )
+
+        return self._memoized(("sweep", need_eq, collect), compute)
 
     def _reference_sweep(self, need_eq: bool, collect: bool) -> tensor.ProfileSweep:
         """The reference scan: profiles in ``enumerate_strategy_profiles``
@@ -683,11 +692,12 @@ class BatchSession:
 
         ``on_error="raise"`` propagates the first failing cell (input
         order), exactly like the looped path always did;
-        ``on_error="capture"`` places the exception object in that
-        game's row cell instead, so one failing game cannot hide the
-        other games' results (the service batch endpoint uses this).
-        A bundle the planner refuses (an unknown measure) fails every
-        cell of every row with its ``ValueError``, before any work.
+        ``on_error="capture"`` places the exception, without its
+        traceback, in that game's row cell instead, so one failing game
+        cannot hide the other games' results (the service batch endpoint
+        uses this).  A bundle the planner refuses (an unknown measure)
+        fails every cell of every row with its ``ValueError``, before any
+        work.
         """
         if kernels not in ("auto", "loop"):
             raise ValueError(
@@ -707,7 +717,8 @@ class BatchSession:
         except ValueError as error:
             if on_error == "raise" and self.sessions:
                 raise
-            return [[error] * len(normalized) for _ in self.sessions]
+            refused = _detached(error)
+            return [[refused] * len(normalized) for _ in self.sessions]
         extras: Dict[Tuple[int, Query], Tuple[str, Any]] = {}
         if kernels != "loop" and self.sessions:
             extras = self._batch_dispatch(normalized, requirements)
@@ -718,18 +729,16 @@ class BatchSession:
                 row: List[Any] = []
                 for item in normalized:
                     try:
-                        entry = extras.get((index, item))
-                        if entry is not None:
-                            kind, payload = entry
-                            if kind == "err":
-                                raise payload
-                            row.append(payload)
-                        else:
-                            row.append(session._answer(item))
+                        kind, value = extras.get((index, item)) or (
+                            "ok", session._answer(item)
+                        )
+                        if kind == "err":
+                            raise _detached(value)
+                        row.append(value)
                     except Exception as error:
                         if on_error == "raise":
                             raise
-                        row.append(error)
+                        row.append(_detached(error))
                 rows.append(row)
         return rows
 
@@ -780,19 +789,11 @@ class BatchSession:
                 )
         return extras
 
-    def _fill(self, session: GameSession, store: str, key, result, error) -> None:
+    @staticmethod
+    def _fill(session: GameSession, key, result, error) -> None:
         """Install one kernel result in a session memo (first write wins)."""
         with session.lock:
-            target = session._sweeps if store == "sweeps" else session._memo
-            if store == "sweeps":
-                if session._served(*key) is not None:
-                    return
-            elif key in target:
-                return
-            if error is not None:
-                target[key] = ("err", (error, error.__traceback__))
-            else:
-                target[key] = ("ok", result)
+            session._store(key, result, error)
 
     def _run_bucket(
         self,
@@ -819,18 +820,18 @@ class BatchSession:
         def sweep(need_eq: bool, collect: bool) -> None:
             """One lane sweep over the sessions whose memo does not
             already serve ``(need_eq, collect)``, filled into their memos."""
-            key = (need_eq, collect)
+            key = ("sweep", need_eq, collect)
             todo = [
                 position
                 for position, session in enumerate(sessions)
-                if session._served(*key) is None
+                if session._entry(key) is None
             ]
             if todo:
                 sweeps, errors = template._sweep_lanes(
                     stacked(todo), max_profiles, collect, need_eq
                 )
                 for position, result, error in zip(todo, sweeps, errors):
-                    self._fill(sessions[position], "sweeps", key, result, error)
+                    self._fill(sessions[position], key, result, error)
 
         if need_sweep:
             sweep(need_eq or collect, collect)
@@ -847,20 +848,20 @@ class BatchSession:
             if todo:
                 pairs, errors = template._eq_c_lanes(stacked(todo))
                 for position, pair, error in zip(todo, pairs, errors):
-                    self._fill(sessions[position], "memo", ("eq_c",), pair, error)
+                    self._fill(sessions[position], ("eq_c",), pair, error)
         if "state_optimum" in measures:
             states = range(len(template.states))
             optima = [lanes.blocks(s)[1].min(axis=1).tolist() for s in states]
             for position, session in enumerate(sessions):
                 for s, profile in enumerate(lowered[position].states):
                     value = optima[s][position]
-                    self._fill(session, "memo", ("state_opt", profile), value, None)
+                    self._fill(session, ("state_opt", profile), value, None)
         if measures & {"opt_c", "ignorance_report", "ratio"}:
             totals = template._opt_c_lanes(lanes)
             for position, session in enumerate(sessions):
                 if session.state_solver is None:
                     value = float(totals[position])
-                    self._fill(session, "memo", ("opt_c",), value, None)
+                    self._fill(session, ("opt_c",), value, None)
         if "dynamics" in measures:
             self._run_bucket_dynamics(
                 indices, sessions, lowered, stacked, normalized, extras

@@ -1340,7 +1340,7 @@ def drop_lowering(game: BayesianGame) -> None:
     cached refusal).
 
     The next lowering request simply recompiles; nothing about the game
-    itself changes.  The service registry calls this on LRU eviction so evicted
-    sessions actually free their tensors.
+    itself changes.  Only a caller that keeps the game needs this: a
+    dropped game frees its lowering with it.
     """
     game.__dict__.pop(_LOWERED_ATTR, None)

@@ -180,13 +180,17 @@ def decode_value(payload: Any) -> Any:
     if isinstance(payload, dict):
         tag = payload.get("t")
         items = payload.get("v")
-        if tag == "float":
-            return float(items)
-        if tag == "tuple":
-            return tuple(decode_value(item) for item in items)
-        if tag == "frozenset":
-            return frozenset(decode_value(item) for item in items)
-        raise CodecError(f"unknown value tag {tag!r}")
+        if tag not in ("float", "tuple", "frozenset"):
+            raise CodecError(f"unknown value tag {tag!r}")
+        if tag == "float" and isinstance(items, str):
+            try:
+                return float(items)
+            except ValueError:
+                pass
+        if tag != "float" and isinstance(items, list):
+            values = map(decode_value, items)
+            return tuple(values) if tag == "tuple" else frozenset(values)
+        raise CodecError(f"malformed {tag} value: {items!r}")
     raise CodecError(f"cannot decode payload of type {type(payload).__name__}")
 
 
@@ -328,7 +332,10 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
     def atom(item: Any) -> Any:
         key = repr(item)
         if key not in atoms:
-            atoms[key] = decode_value(item)
+            value = decode_value(item)
+            if _holds_nan(value):
+                raise CodecError(f"an action or type must not hold NaN: got {item!r}")
+            atoms[key] = value
         return atoms[key]
 
     def atom_tuple(items: Any) -> Tuple[Any, ...]:
@@ -399,6 +406,17 @@ def spec_from_wire(payload: Dict[str, Any]) -> TabularGameSpec:
     return spec
 
 
+def _holds_nan(value: Any) -> bool:
+    """Whether ``value`` is NaN or holds one, however deeply nested.  NaN
+    equals nothing, not even itself, so a lookup finds such an atom only
+    by identity, and the engines then disagree on the game."""
+    if isinstance(value, float):
+        return value != value
+    if isinstance(value, (tuple, frozenset)):
+        return any(map(_holds_nan, value))
+    return False
+
+
 def _check_spec(spec: TabularGameSpec) -> None:
     """Refuse a game the engines cannot build or evaluate (the list is in
     ``docs/SERVICE.md``).  A ``bool`` is not a number; a zero
@@ -427,10 +445,11 @@ def _check_spec(spec: TabularGameSpec) -> None:
     except ValueError as error:
         raise CodecError(f"unusable game: {error}") from None
     for (agent, state, actions), cost in spec.costs.items():
-        if type(cost) not in (int, float) or cost != cost:
+        # A -inf cost meets +inf in the folds, and inf + -inf is NaN.
+        if type(cost) not in (int, float) or cost != cost or cost == -math.inf:
             raise CodecError(
                 f"cost of agent {agent!r} at state {state!r}, actions "
-                f"{actions!r} must be a number, not NaN: got {cost!r}"
+                f"{actions!r} must be a number, not NaN or -inf: got {cost!r}"
             )
     for state in states:
         spaces = [spec.feasible[(agent, ti)] for agent, ti in enumerate(state)]

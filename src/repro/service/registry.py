@@ -17,16 +17,13 @@ Lock discipline (see also ``docs/SERVICE.md``):
   against each other (sharing one lowering and one memo) while clients
   on *different* games run fully in parallel — the tensor kernels
   release the GIL, so parallel here means parallel.
-* Eviction drops the registry's reference *and* releases the evicted
-  session's lowered tensors (:meth:`GameSession.drop_lowering`, called
-  outside the registry lock and with ``blocking=False`` so a loaded
-  registry never blocks on — or deadlocks against — a session lock).  A
-  request that already resolved its entry keeps the session object alive
+* Eviction (and :meth:`SessionRegistry.clear`) only drops the
+  registry's reference, and never takes a session lock.  A session holds
+  no reference back to itself, so an idle evicted session is freed at
+  once, with its game and its lowering, by reference counting alone.  A
+  request that already resolved its entry keeps the session alive
   through its own reference, so eviction under load never poisons an
-  in-flight query: a busy session skips the drop (its tensors are
-  garbage-collected with the session when the caller finishes) and an
-  idle evicted session frees its tensors immediately, re-lowering
-  transparently if it is ever queried again.
+  in-flight query; the session is freed when that request lets it go.
 
 Hash collisions are handled, not assumed away: an entry remembers its
 spec, and a submit whose hash matches a *different* stored spec raises
@@ -124,8 +121,9 @@ class SessionRegistry:
             entry = SessionEntry(game_hash=key, spec=spec, session=session)
             self._entries[key] = entry
             self.metrics.record_cache("miss")
-            evicted = self._evict_over_capacity()
-        self._drop_lowerings(evicted)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.metrics.record_cache("eviction")
         return entry, True
 
     def get(self, key: str) -> SessionEntry:
@@ -151,29 +149,6 @@ class SessionRegistry:
         entry.hits += 1
         self.metrics.record_cache("hit")
 
-    def _evict_over_capacity(self) -> List[SessionEntry]:
-        """Pop LRU entries past capacity; caller must hold the lock.
-
-        Returns the evicted entries so the caller can release their
-        lowered tensors *after* dropping the registry lock (dropping
-        takes each session's own lock, which an in-flight query on that
-        session may hold for a while).
-        """
-        evicted: List[SessionEntry] = []
-        while len(self._entries) > self.capacity:
-            _, entry = self._entries.popitem(last=False)
-            evicted.append(entry)
-            self.metrics.record_cache("eviction")
-        return evicted
-
-    @staticmethod
-    def _drop_lowerings(evicted: List[SessionEntry]) -> None:
-        # Best-effort: a session mid-query keeps its tensors (the
-        # in-flight caller holds the session lock and needs them; GC
-        # reclaims them with the session once that caller finishes).
-        for entry in evicted:
-            entry.session.drop_lowering(blocking=False)
-
     # ------------------------------------------------------------------
     def hashes(self) -> List[str]:
         """Cached hashes, least- to most-recently-used."""
@@ -182,10 +157,9 @@ class SessionRegistry:
 
     def clear(self) -> int:
         with self._lock:
-            dropped = list(self._entries.values())
+            dropped = len(self._entries)
             self._entries.clear()
-        self._drop_lowerings(dropped)
-        return len(dropped)
+        return dropped
 
     def __contains__(self, key: str) -> bool:
         with self._lock:

@@ -4,16 +4,17 @@ The engine-fuzz suite (``tests/engine_fuzz/test_lazy_fuzz.py``) owns the
 randomized three-way value-parity battery; this file pins down the
 *contract*: block-cache accounting and eviction, the ``lower_game_lazy``
 guards, ``maybe_lower``'s store choice and its single cache slot,
-``drop_lowering`` across every owner (game, session, NCS wrapper,
-service registry), the LRU sweep against the pinned one, and the
+``drop_lowering`` on the game and the NCS wrapper, registry eviction
+freeing what it evicts, the LRU sweep against the pinned one, and the
 acceptance path — a game whose full tabulation exceeds the dense cell
 guard runs dynamics and targeted queries on the LRU store with no
 reference fallback.
 """
 
+import gc
 import os
 import sys
-import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -442,7 +443,7 @@ class TestRestrictedSweep:
 
 
 # ----------------------------------------------------------------------
-# session dispatch + drop, registry eviction
+# session dispatch, registry eviction
 # ----------------------------------------------------------------------
 
 class TestSessionLazyDispatch:
@@ -470,47 +471,27 @@ class TestSessionLazyDispatch:
         assert dynamics == ref_dynamics
         assert interim == ref_interim
 
-    def test_session_drop_lowering_clears_and_relowers(self):
-        session = GameSession(skew_game())
-        first = session._kernel()
-        assert first is not None
-        assert session.drop_lowering() is True
-        assert _LOWERED_ATTR not in session.game.__dict__
-        second = session._kernel()
-        assert second is not None and second is not first
-
-    def test_session_drop_lowering_nonblocking_respects_busy_lock(self):
-        session = GameSession(skew_game())
-        session._kernel()
-        held = threading.Event()
-        release = threading.Event()
-
-        def hold():
-            with session.lock:
-                held.set()
-                release.wait(timeout=10)
-
-        thread = threading.Thread(target=hold)
-        thread.start()
-        try:
-            assert held.wait(timeout=10)
-            assert session.drop_lowering(blocking=False) is False
-            assert _LOWERED_ATTR in session.game.__dict__  # untouched
-        finally:
-            release.set()
-            thread.join()
-        assert session.drop_lowering(blocking=False) is True
-
     def test_registry_eviction_drops_the_evicted_lowering(self):
         from fuzz_games import spec_for_seed
         from repro.service.registry import SessionRegistry
 
         registry = SessionRegistry(capacity=1)
         entry0, _ = registry.submit(spec_for_seed(0))
-        assert entry0.session._kernel() is not None
+        lowered = weakref.ref(entry0.session._kernel())
         entry1, _ = registry.submit(spec_for_seed(1))
         assert entry0.game_hash not in registry
-        assert _tensor_attrs(entry0.session.game) == []
+        # Eviction drops only the registry's reference: the caller's
+        # entry still holds the session and its lowering...
+        assert lowered() is not None
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del entry0
+            # ...which reference counting frees once that reference goes.
+            assert lowered() is None
+        finally:
+            if enabled:
+                gc.enable()
         assert entry1.game_hash in registry
         assert registry.clear() == 1
 

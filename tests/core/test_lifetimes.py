@@ -1,7 +1,8 @@
-"""Every lowering is freed by reference counting alone.
+"""Every session and lowering is freed by reference counting alone.
 
 A lowering cached on its game (``maybe_lower``) must not keep that game
-alive: if it did, game and lowering would form a reference cycle, and a
+alive, and a session that memoized or captured an error must not keep
+that error's traceback: either would form a reference cycle, and a
 dropped session's cost blocks would stay resident until the cyclic
 collector happened to run.  Each test here disables that collector, so
 an object is freed exactly when its last strong reference goes.
@@ -21,15 +22,19 @@ sys.path.insert(0, os.path.join(_TESTS, "ncs"))
 from fuzz_games import spec_for_seed
 from ncs_games import maybe_active_partner_game
 
+from repro.analysis.census import population_game
 from repro.core import BatchSession, GameSession, lower_game_lazy
 from repro.core import tensor
 from repro.core.tensor import maybe_lower
+from repro.service.codec import coerce_spec
+from repro.service.registry import SessionRegistry
 
-#: Fuzz games whose whole bundle answers without an error.  A memoized
-#: error keeps its session cyclic through the traceback, which is a
-#: separate matter from the lowering's own references.
-ERROR_FREE_SEEDS = (0, 3, 5, 9)
+#: Fuzz games for the bucketed batch; the bundle raises on seeds 18 and 22.
+SEEDS = (0, 3, 5, 9, 18, 22)
 BUNDLE = ["ignorance_report", "opt_p"]
+#: Members 0-15 of this census family share one bucket, and the bundle
+#: raises on 4 of them (no pure equilibrium, Bayesian or per state).
+FAMILY = "tiny-2x2x2s2"
 
 
 @pytest.fixture(autouse=True)
@@ -72,10 +77,9 @@ class TestDroppedOwnerFreesItsLowering:
 
     def test_batch_session_buckets(self):
         # Each seed built twice: two same-signature games share a bucket.
-        batch = BatchSession([_game(seed) for seed in ERROR_FREE_SEEDS * 2])
-        assert batch.bucket_plan()["buckets"] == [2] * len(ERROR_FREE_SEEDS)
+        batch = BatchSession([_game(seed) for seed in SEEDS * 2])
+        assert batch.bucket_plan()["buckets"] == [2] * len(SEEDS)
         rows = batch.evaluate_many(BUNDLE, on_error="capture")
-        assert not [cell for row in rows for cell in row if isinstance(cell, Exception)]
         lowered = [weakref.ref(session.lowered()) for session in batch.sessions]
         del batch, rows
         assert [ref() for ref in lowered] == [None] * len(lowered)
@@ -88,6 +92,61 @@ class TestDroppedOwnerFreesItsLowering:
         core = weakref.ref(game.game)
         del game
         assert (lowered(), core()) == (None, None)
+
+
+def _members():
+    return [population_game(FAMILY, member) for member in range(16)]
+
+
+def _owned(sessions):
+    """Weak references to each session and to its lowering."""
+    return [ref for session in sessions for ref in (
+        weakref.ref(session), weakref.ref(session.lowered())
+    )]
+
+
+class TestDroppedSessionWithErrorsIsFreed:
+    def test_session_that_memoized_an_error(self):
+        sessions = [GameSession(game) for game in _members()]
+        failed = 0
+        for session in sessions:
+            for _ in range(2):  # computed, then served from the memo
+                try:
+                    session.evaluate(BUNDLE)
+                except RuntimeError:
+                    failed += 1
+        assert failed == 2 * 4
+        owned = _owned(sessions)
+        del sessions, session
+        assert [ref() for ref in owned] == [None] * len(owned)
+
+    def test_capture_mode_batch_session(self):
+        batch = BatchSession(_members())
+        assert batch.bucket_plan()["buckets"] == [16]
+        rows = batch.evaluate_many(BUNDLE, on_error="capture")
+        errors = [cell for row in rows for cell in row if isinstance(cell, Exception)]
+        assert len(errors) == 4
+        assert [error.__traceback__ for error in errors] == [None] * 4
+        owned = _owned(batch.sessions)
+        del batch, rows, errors
+        assert [ref() for ref in owned] == [None] * len(owned)
+
+    def test_registry_eviction_and_clear(self):
+        registry = SessionRegistry(capacity=8)
+        owned = []
+        for game in _members():
+            entry, _ = registry.submit(coerce_spec(game))
+            try:
+                entry.session.evaluate(BUNDLE)
+            except RuntimeError:
+                pass
+            owned.append(_owned([entry.session]))
+        del entry
+        evicted = [ref() for refs in owned[:8] for ref in refs]
+        assert evicted == [None] * 16
+        assert all(ref() is not None for refs in owned[8:] for ref in refs)
+        assert registry.clear() == 8
+        assert [ref() for refs in owned for ref in refs] == [None] * 32
 
 
 class TestBackReference:

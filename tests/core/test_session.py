@@ -8,10 +8,13 @@ measures, and the engine is pinned per session.  The randomized
 exact-agreement sweep lives in ``tests/engine_fuzz``.
 """
 
+import traceback
+
 import numpy as np
 import pytest
 
 import repro.core.session as session_module
+from repro._util import ExplosionError
 from repro.core import (
     BatchSession,
     GameSession,
@@ -236,6 +239,49 @@ class TestErrorMemoization:
         for _ in range(5):
             assert raised_depth() == second
 
+    @pytest.mark.parametrize("measure", ["opt_p", "ignorance_report"])
+    def test_memo_hit_raises_a_fresh_copy(self, measure):
+        """Every raise of a memoized error is a new object of the same
+        type, message and attributes, whose traceback holds only the
+        frames it passed on its way out."""
+        if measure == "opt_p":  # an explosion guard trips in the sweep
+            session = GameSession(matching_state_game(), max_strategy_profiles=1)
+            expected = ExplosionError
+        else:
+            session = GameSession(matching_pennies().to_bayesian())
+            expected = RuntimeError
+        raised = []
+        for _ in range(4):
+            with pytest.raises(expected) as excinfo:
+                session.evaluate([query(measure)])
+            raised.append(excinfo.value)
+        first = raised[0]
+        assert len({id(error) for error in raised}) == len(raised)
+        assert {type(error) for error in raised} == {expected}
+        assert {str(error) for error in raised} == {str(first)}
+        assert {error.args for error in raised} == {first.args}
+        if expected is ExplosionError:
+            assert {
+                (error.what, error.size, error.limit) for error in raised
+            } == {("strategy profiles", first.size, 1)}
+        depths = [len(traceback.extract_tb(error.__traceback__)) for error in raised]
+        assert depths[1:] == [depths[1]] * 3
+        assert all(error.__context__ is None for error in raised[1:])
+
+    def test_memo_hit_keeps_slot_attributes(self):
+        """An error that keeps its state in slots (numpy's ``AxisError``)
+        raises again with that state, so its message, intact."""
+
+        def solver(profile):
+            raise np.exceptions.AxisError(2, 1)
+
+        session = GameSession(matching_state_game(), state_solver=solver)
+        for _ in range(2):
+            with pytest.raises(np.exceptions.AxisError) as excinfo:
+                session.opt_c()
+            assert (excinfo.value.axis, excinfo.value.ndim) == (2, 1)
+            assert str(excinfo.value) == "axis 2 is out of bounds for array of dimension 1"
+
     def test_reference_extremes_do_not_materialize_equilibria(self):
         """An extremes-only reference pass keeps O(1) memory (running
         folds), exactly like the free reference path it replaces."""
@@ -243,11 +289,11 @@ class TestErrorMemoization:
             session = GameSession(matching_state_game())
             session.equilibrium_extreme_costs()
             assert session.lowered() is None
-            (kind, sweep) = session._sweeps[(True, False)]
+            (kind, sweep) = session._memo[("sweep", True, False)]
             assert kind == "ok" and sweep.eq_indices is None
             # Asking for the set afterwards upgrades to a collecting pass.
             assert session.bayesian_equilibria()
-            assert session._sweeps[(True, True)][1].eq_indices
+            assert session._memo[("sweep", True, True)][1].eq_indices
 
 
 class TestEngineScoping:

@@ -28,6 +28,16 @@ import numpy as np
 from fuzz_games import spec_for_seed
 
 
+#: Tagged values whose ``v`` the tag cannot read.
+MALFORMED_TAGGED = {
+    "float-word": {"t": "float", "v": "abc"},
+    "float-null": {"t": "float", "v": None},
+    "tuple-int": {"t": "tuple", "v": 5},
+    "frozenset-string": {"t": "frozenset", "v": "ab"},
+    "nested-float-word": {"t": "tuple", "v": [{"t": "float", "v": "abc"}]},
+}
+
+
 class TestValueCodec:
     @pytest.mark.parametrize(
         "value",
@@ -81,6 +91,11 @@ class TestValueCodec:
     def test_unknown_tag_raises(self):
         with pytest.raises(CodecError):
             decode_value({"t": "martian", "v": []})
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TAGGED))
+    def test_malformed_tagged_value_raises(self, case):
+        with pytest.raises(CodecError, match="malformed"):
+            decode_value(MALFORMED_TAGGED[case])
 
 
 class TestSpecCodec:
@@ -157,6 +172,7 @@ def two_by_two_wire():
 #: entry of :func:`two_by_two_wire`.
 BROKEN_COSTS = {
     "nan": lambda entries: entries[0].update(cost={"t": "float", "v": "nan"}),
+    "-inf": lambda entries: entries[0].update(cost={"t": "float", "v": "-inf"}),
     "string": lambda entries: entries[0].update(cost="3"),
     "bool": lambda entries: entries[0].update(cost=True),
     "missing": lambda entries: entries.pop(0),
@@ -275,11 +291,53 @@ def broken_game_wire(case):
     return wire
 
 
+NAN = {"t": "float", "v": "nan"}
+
+#: Atoms that are or hold NaN, each substituted for agent 0's first type
+#: or action of fuzz game 5 wherever it appears: ``(kind, atom)``.
+NAN_ATOMS = {
+    "type": ("type", NAN),
+    "nested-action": ("action", {"t": "tuple", "v": [1, NAN]}),
+}
+
+
+def nan_atom_wire(case):
+    """Fuzz game 5's wire form with one of agent 0's atoms replaced, in
+    every place it appears, by the :data:`NAN_ATOMS` case."""
+    kind, new = NAN_ATOMS[case]
+    wire = spec_to_wire(spec_for_seed(5))
+    old = repr(wire[f"{kind}_spaces"][0][0])
+
+    def swap(items):
+        return [new if repr(item) == old else item for item in items]
+
+    def swap_first(profile):  # agent 0's slot of a state or an action profile
+        profile[:1] = swap(profile[:1])
+
+    wire[f"{kind}_spaces"][0] = swap(wire[f"{kind}_spaces"][0])
+    for entry in wire["costs"]:
+        swap_first(entry["state" if kind == "type" else "actions"])
+    for entry in wire["feasible"]:
+        if entry["agent"] == 0 and kind == "type":
+            [entry["type"]] = swap([entry["type"]])
+        elif entry["agent"] == 0:
+            entry["actions"] = swap(entry["actions"])
+    if kind == "type":
+        for entry in wire["support"]:
+            swap_first(entry["profile"])
+    return wire
+
+
 class TestGameChecks:
     @pytest.mark.parametrize("case", sorted(BROKEN_GAMES))
     def test_unusable_game_raises(self, case):
         with pytest.raises(CodecError, match=BROKEN_GAMES[case][1]):
             spec_from_wire(broken_game_wire(case))
+
+    @pytest.mark.parametrize("case", sorted(NAN_ATOMS))
+    def test_nan_atom_raises(self, case):
+        with pytest.raises(CodecError, match="must not hold NaN"):
+            spec_from_wire(nan_atom_wire(case))
 
     def test_zero_probability_entry_passes(self):
         """A zero-probability support entry is accepted; the prior drops it."""

@@ -25,7 +25,15 @@ from repro.service import (
 
 from fuzz_games import spec_for_seed
 from fuzz_harness import random_profiles
-from test_codec import BROKEN_COSTS, BROKEN_GAMES, broken_cost_wire, broken_game_wire
+from test_codec import (
+    BROKEN_COSTS,
+    BROKEN_GAMES,
+    NAN_ATOMS,
+    broken_cost_wire,
+    broken_game_wire,
+    nan_atom_wire,
+    two_by_two_wire,
+)
 
 
 def raw_request(server, method, path, payload=None):
@@ -238,6 +246,56 @@ class TestErrorBodies:
         assert body["error"]["code"] == "bad-request"
         assert BROKEN_GAMES[case][1] in body["error"]["message"]
         assert len(server.registry) == 0
+
+    @pytest.mark.parametrize("case", sorted(NAN_ATOMS))
+    def test_nan_atom_is_a_submit_400(self, server, case):
+        """A type or action that is or holds NaN is refused on both
+        submit paths."""
+        wire = nan_atom_wire(case)
+        status, body = raw_request(server, "POST", "/v1/games", {"game": wire})
+        assert status == 400, body
+        assert "must not hold NaN" in body["error"]["message"]
+        status, body = raw_request(
+            server, "POST", "/v1/batch/evaluate",
+            {"games": [{"game": wire}], "queries": [{"measure": "opt_p"}]},
+        )
+        assert status == 200, body
+        assert body["results"][0]["status"] == 400, body
+        assert len(server.registry) == 0
+
+    @pytest.mark.parametrize("path", ["games", "evaluate", "dynamics", "batch"])
+    def test_malformed_tagged_float_400(self, server, path):
+        """A tagged float the codec cannot read is a bad request wherever
+        it arrives: in a submitted game, in query params, and in one game
+        of a batch, whose row alone fails."""
+        bad = {"t": "float", "v": "abc"}
+        broken = two_by_two_wire()
+        broken["costs"][0]["cost"] = bad
+        if path == "games":
+            status, body = raw_request(server, "POST", "/v1/games", {"game": broken})
+        elif path == "batch":
+            status, body = raw_request(
+                server, "POST", "/v1/batch/evaluate",
+                {
+                    "games": [{"game": broken}, {"game": two_by_two_wire()}],
+                    "queries": [{"measure": "opt_p"}],
+                },
+            )
+            assert status == 200, body
+            assert "values" in body["results"][1], body
+            status, body = body["results"][0]["status"], body["results"][0]
+        else:
+            status, body = raw_request(
+                server, "POST", "/v1/games", {"game": two_by_two_wire()}
+            )
+            url = f"/v1/games/{body['hash']}/{path}"
+            params = {"max_rounds": bad}
+            if path == "evaluate":
+                params = {"queries": [{"measure": "dynamics", "params": params}]}
+            status, body = raw_request(server, "POST", url, params)
+        assert status == 400, body
+        assert body["error"]["code"] == "bad-request"
+        assert "malformed float value: 'abc'" in body["error"]["message"]
 
     @pytest.mark.parametrize("path", DYNAMICS_PATHS)
     def test_bad_max_rounds_400(self, server, path):
