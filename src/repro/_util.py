@@ -34,6 +34,12 @@ class ExplosionError(RuntimeError):
             f"{what}: enumeration size {size:g} exceeds guard limit {limit:g}"
         )
 
+    def __reduce__(self):
+        # ``args`` holds only the message, so the default reduction would
+        # call ``__init__`` with one argument and fail on unpickling (as
+        # when a process-pool worker sends one back).
+        return (type(self), (self.what, self.size, self.limit))
+
 
 def harmonic(n: int) -> float:
     """Return the ``n``-th harmonic number ``H(n) = 1 + 1/2 + ... + 1/n``.

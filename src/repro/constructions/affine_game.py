@@ -42,11 +42,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .._util import ExplosionError
-from ..core.prior import CommonPrior
 from ..galois import AffinePlane, affine_plane
 from ..graphs import EdgeId, Graph, Node
 from ..ncs.actions import NCSType
-from ..ncs.bayesian import BayesianNCSGame
+from ..ncs.bayesian import BayesianNCSGame, uniform_bayesian_ncs
 
 
 @dataclass
@@ -118,19 +117,8 @@ class AffinePlaneGame:
         profiles = self.all_type_profiles()
         if len(profiles) > max_support:
             raise ExplosionError("affine game support", len(profiles), max_support)
-        prior = CommonPrior.uniform(profiles)
-        type_spaces: List[List[NCSType]] = []
-        for agent in range(self.num_agents):
-            seen: List[NCSType] = []
-            for profile in profiles:
-                if profile[agent] not in seen:
-                    seen.append(profile[agent])
-            type_spaces.append(seen)
-        return BayesianNCSGame(
-            self.graph,
-            type_spaces,
-            prior,
-            name=f"affine-plane-m{self.order}",
+        return uniform_bayesian_ncs(
+            self.graph, profiles, name=f"affine-plane-m{self.order}"
         )
 
     # ------------------------------------------------------------------

@@ -27,12 +27,11 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from ..core.prior import CommonPrior
 from ..graphs import EdgeId, Node
 from ..graphs.generators import DiamondGraph, diamond_graph
 from ..graphs.shortest_path import shortest_path_edges
 from ..ncs.actions import NCSType
-from ..ncs.bayesian import BayesianNCSGame
+from ..ncs.bayesian import BayesianNCSGame, uniform_bayesian_ncs
 from ..steiner_online.adversary import DiamondRequestSequence, sample_adversary
 
 
@@ -79,21 +78,7 @@ def diamond_bayesian_game(
     for _ in range(scenarios):
         sequence = sample_adversary(diamond, rng)
         profiles.append(sequence_type_profile(diamond, sequence, num_agents))
-    type_spaces: List[List[NCSType]] = []
-    for agent in range(num_agents):
-        seen: List[NCSType] = []
-        for profile in profiles:
-            if profile[agent] not in seen:
-                seen.append(profile[agent])
-        type_spaces.append(seen)
-    prior = CommonPrior.uniform(profiles)
-    game = BayesianNCSGame(
-        diamond.graph,
-        type_spaces,
-        prior,
-        name=f"diamond-L{levels}",
-    )
-    return game, diamond
+    return uniform_bayesian_ncs(diamond.graph, profiles, name=f"diamond-L{levels}"), diamond
 
 
 def fixed_shortest_path_map(

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..core.prior import CommonPrior
 from ..graphs import Graph, random_connected_graph
-from ..ncs.bayesian import BayesianNCSGame
+from ..ncs.bayesian import BayesianNCSGame, uniform_bayesian_ncs
 from ..ncs.actions import NCSType
 
 
@@ -93,16 +93,8 @@ def random_bayesian_ncs(
                 for _ in range(num_agents)
             )
         )
-    type_spaces: List[List[NCSType]] = []
-    for agent in range(num_agents):
-        seen: List[NCSType] = []
-        for profile in profiles:
-            if profile[agent] not in seen:
-                seen.append(profile[agent])
-        type_spaces.append(seen)
-    prior = CommonPrior.uniform(profiles)
-    return BayesianNCSGame(
-        graph, type_spaces, prior, name=name or f"random-ncs-k{num_agents}"
+    return uniform_bayesian_ncs(
+        graph, profiles, name=name or f"random-ncs-k{num_agents}"
     )
 
 

@@ -74,9 +74,9 @@ def enumerate_strategy_profiles(
 
 
 def greedy_strategy_profile(game: BayesianGame) -> StrategyProfile:
-    """A cheap starting profile: per agent/type, the action minimizing the
-    interim cost assuming she is *alone* (others' contribution ignored by
-    evaluating her own cost against this same placeholder profile).
+    """A cheap starting profile: every type plays its first feasible
+    action (``game.feasible_actions(agent, ti)[0]``); no cost is
+    evaluated.
 
     Used to seed best-response dynamics; any feasible profile would do.
     """

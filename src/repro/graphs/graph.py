@@ -189,37 +189,28 @@ class Graph:
     # ------------------------------------------------------------------
     # transformation
     # ------------------------------------------------------------------
-    def copy(self) -> "Graph":
-        clone = Graph(directed=self.directed)
-        for node in self._adjacency:
-            clone.add_node(node)
-        for eid in sorted(self._edges):
-            edge = self._edges[eid]
-            clone.add_edge(edge.tail, edge.head, edge.cost)
-        return clone
-
-    def reverse(self) -> "Graph":
-        """Return the graph with every edge reversed (identity if undirected)."""
-        clone = Graph(directed=self.directed)
-        for node in self._adjacency:
-            clone.add_node(node)
-        for eid in sorted(self._edges):
-            edge = self._edges[eid]
-            if self.directed:
-                clone.add_edge(edge.head, edge.tail, edge.cost)
-            else:
-                clone.add_edge(edge.tail, edge.head, edge.cost)
-        return clone
-
-    def subgraph(self, edge_ids: Iterable[EdgeId]) -> "Graph":
-        """Graph induced by the given edges (plus all original nodes)."""
+    def _rebuild(self, edge_ids: Iterable[EdgeId], flip: bool = False) -> "Graph":
+        """A graph with every node of this one and the given edges, in id
+        order (re-numbered from 0), each reversed when ``flip``."""
         clone = Graph(directed=self.directed)
         for node in self._adjacency:
             clone.add_node(node)
         for eid in sorted(set(edge_ids)):
             edge = self.edge(eid)
-            clone.add_edge(edge.tail, edge.head, edge.cost)
+            tail, head = (edge.head, edge.tail) if flip else (edge.tail, edge.head)
+            clone.add_edge(tail, head, edge.cost)
         return clone
+
+    def copy(self) -> "Graph":
+        return self._rebuild(self._edges)
+
+    def reverse(self) -> "Graph":
+        """Return the graph with every edge reversed (identity if undirected)."""
+        return self._rebuild(self._edges, flip=self.directed)
+
+    def subgraph(self, edge_ids: Iterable[EdgeId]) -> "Graph":
+        """Graph induced by the given edges (plus all original nodes)."""
+        return self._rebuild(edge_ids)
 
     # ------------------------------------------------------------------
     # queries used by NCS feasibility checks

@@ -83,6 +83,34 @@ def shortest_path_cost(
     return dist.get(target, math.inf)
 
 
+def cheapest_path_back(
+    graph: Graph,
+    source: Node,
+    target: Node,
+    weight: WeightFunction = weight_by_cost,
+) -> Tuple[Optional[List[EdgeId]], float]:
+    """A cheapest ``source -> target`` path as ``(edge_ids, cost)``.
+
+    The edge ids run from ``target`` back to ``source``, the order of the
+    walk up Dijkstra's parent map; NCS actions are built from them in
+    that order, which fixes their ``frozenset`` iteration order.
+    ``(None, math.inf)`` when unreachable; a trivial ``source == target``
+    query gives ``([], 0.0)``.
+    """
+    dist, parent = dijkstra(graph, source, weight=weight, targets=[target])
+    if target not in dist:
+        return None, math.inf
+    path: List[EdgeId] = []
+    node = target
+    while node != source:
+        eid = parent[node]
+        assert eid is not None
+        path.append(eid)
+        edge = graph.edge(eid)
+        node = edge.tail if graph.directed else edge.other(node)
+    return path, dist[target]
+
+
 def shortest_path_edges(
     graph: Graph,
     source: Node,
@@ -95,19 +123,8 @@ def shortest_path_edges(
     """
     if source == target:
         return []
-    dist, parent = dijkstra(graph, source, weight=weight, targets=[target])
-    if target not in dist:
-        return None
-    path: List[EdgeId] = []
-    node = target
-    while node != source:
-        eid = parent[node]
-        assert eid is not None
-        path.append(eid)
-        edge = graph.edge(eid)
-        node = edge.tail if graph.directed else edge.other(node)
-    path.reverse()
-    return path
+    path, _ = cheapest_path_back(graph, source, target, weight)
+    return None if path is None else path[::-1]
 
 
 def bellman_ford(

@@ -12,13 +12,18 @@ network in directed ones.  This module provides:
   analogue, exact, used when all agents share one source.
 * :func:`steiner_forest_exact` — exact undirected Steiner *forest* cost by
   minimizing over set partitions of the terminal pairs (each block is a
-  Dreyfus-Wagner instance).
+  Dreyfus-Wagner instance over one distance matrix built per call).
 * :func:`connecting_subgraph_bnb` — exact minimum connecting subgraph via
   branch-and-bound over edge subsets; works for directed and undirected
   graphs and recovers the edge set, guarded by an edge-count limit.
 * :func:`steiner_tree_mst_approx` and :func:`union_of_shortest_paths` —
   polynomial upper bounds used to seed the branch-and-bound and to handle
   instances beyond exact reach.
+
+The three exact tree solvers share one DP, :func:`_dreyfus_wagner`, over
+one distance matrix, :func:`_distance_matrix`, whose row ``u`` is what a
+tree pays from ``u``: the all-pairs matrix when undirected, its transpose
+when directed, so the directed case is the undirected DP read at the root.
 """
 
 from __future__ import annotations
@@ -30,7 +35,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from .._util import ExplosionError
 from .graph import EdgeId, Graph, Node
 from .mst import kruskal_mst
-from .shortest_path import dijkstra, shortest_path_cost, shortest_path_edges
+from .shortest_path import (
+    all_pairs_shortest_paths,
+    shortest_path_cost,
+    shortest_path_edges,
+)
 
 #: Guard on the number of terminals in the Dreyfus-Wagner DP.
 MAX_DW_TERMINALS = 12
@@ -42,48 +51,45 @@ MAX_BNB_EDGES = 26
 MAX_FOREST_PAIRS = 9
 
 
-def steiner_tree_exact(graph: Graph, terminals: Sequence[Node]) -> float:
-    """Exact minimum Steiner tree cost over the given terminals.
+def _distance_matrix(graph: Graph) -> Tuple[List[List[float]], Dict[Node, int]]:
+    """``(D, index)``: row ``index[u]`` of ``D`` is what a tree pays from ``u``.
 
-    Undirected graphs only; returns ``math.inf`` when the terminals cannot
-    be connected.  Duplicated terminals are deduplicated; zero or one
-    terminal costs 0.
+    That is ``dist(u, v)`` when undirected, and ``dist(v, u)`` when
+    directed (an out-tree rooted at ``v`` walks to ``u``): the transpose
+    of the all-pairs matrix.  Unreachable entries are ``math.inf``.
     """
-    if graph.directed:
-        raise ValueError("steiner_tree_exact requires an undirected graph")
-    distinct = list(dict.fromkeys(terminals))
-    if len(distinct) <= 1:
-        return 0.0
-    if len(distinct) == 2:
-        return shortest_path_cost(graph, distinct[0], distinct[1])
-    if len(distinct) > MAX_DW_TERMINALS:
-        raise ExplosionError(
-            "Dreyfus-Wagner terminals", len(distinct), MAX_DW_TERMINALS
-        )
-
     nodes = graph.nodes
     index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    # Distances from every terminal are needed for the base case; distances
-    # between all node pairs are needed for the closure step.  We run a
-    # Dijkstra per node (the graphs handled here are small).
-    dist = [[math.inf] * n for _ in range(n)]
-    for node in nodes:
-        d, _ = dijkstra(graph, node)
-        row = dist[index[node]]
-        for other, value in d.items():
+    D = [[math.inf] * len(nodes) for _ in nodes]
+    for node, dist in all_pairs_shortest_paths(graph).items():
+        row = D[index[node]]
+        for other, value in dist.items():
             row[index[other]] = value
+    if graph.directed:
+        D = [list(column) for column in zip(*D)]
+    return D, index
 
-    m = len(distinct)
-    full = (1 << m) - 1
-    INF = math.inf
+
+def _dreyfus_wagner(
+    D: List[List[float]], index: Dict[Node, int], terminals: List[Node]
+) -> List[float]:
+    """The Dreyfus-Wagner DP over the distance matrix ``D``.
+
+    Returns the row of the full terminal set: entry ``v`` is the cheapest
+    tree containing ``v`` that reaches every (distinct) terminal — for a
+    directed ``D`` (see :func:`_distance_matrix`), the cheapest
+    out-arborescence rooted at ``v``.
+    """
+    if len(terminals) > MAX_DW_TERMINALS:
+        raise ExplosionError(
+            "Dreyfus-Wagner terminals", len(terminals), MAX_DW_TERMINALS
+        )
+    n = len(D)
+    full = (1 << len(terminals)) - 1
     # dp[mask][v] = min cost tree containing terminal set `mask` and node v.
-    dp = [[INF] * n for _ in range(full + 1)]
-    for i, term in enumerate(distinct):
-        trow = dist[index[term]]
-        drow = dp[1 << i]
-        for v in range(n):
-            drow[v] = trow[v]
+    dp = [[math.inf] * n for _ in range(full + 1)]
+    for i, term in enumerate(terminals):
+        dp[1 << i] = list(D[index[term]])
 
     for mask in range(1, full + 1):
         if mask & (mask - 1) == 0:  # singleton: base case already done
@@ -101,18 +107,35 @@ def steiner_tree_exact(graph: Graph, terminals: Sequence[Node]) -> float:
                         drow[v] = candidate
             sub = (sub - 1) & mask
         # Metric-closure relaxation: attach via a shortest path.  A single
-        # pass is exact because `dist` satisfies the triangle inequality,
+        # pass is exact because `D` satisfies the triangle inequality,
         # so chained relaxations collapse into one hop.
         for u in range(n):
             du = drow[u]
             if math.isinf(du):
                 continue
-            urow = dist[u]
+            urow = D[u]
             for v in range(n):
                 candidate = du + urow[v]
                 if candidate < drow[v]:
                     drow[v] = candidate
-    return min(dp[full])
+    return dp[full]
+
+
+def steiner_tree_exact(graph: Graph, terminals: Sequence[Node]) -> float:
+    """Exact minimum Steiner tree cost over the given terminals.
+
+    Undirected graphs only; returns ``math.inf`` when the terminals cannot
+    be connected.  Duplicated terminals are deduplicated; zero or one
+    terminal costs 0.
+    """
+    if graph.directed:
+        raise ValueError("steiner_tree_exact requires an undirected graph")
+    distinct = list(dict.fromkeys(terminals))
+    if len(distinct) <= 1:
+        return 0.0
+    if len(distinct) == 2:
+        return shortest_path_cost(graph, distinct[0], distinct[1])
+    return min(_dreyfus_wagner(*_distance_matrix(graph), distinct))
 
 
 def directed_steiner_tree_exact(
@@ -130,56 +153,8 @@ def directed_steiner_tree_exact(
     distinct = [t for t in dict.fromkeys(terminals) if t != root]
     if not distinct:
         return 0.0
-    if len(distinct) > MAX_DW_TERMINALS:
-        raise ExplosionError(
-            "Dreyfus-Wagner terminals", len(distinct), MAX_DW_TERMINALS
-        )
-
-    nodes = graph.nodes
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    dist = [[math.inf] * n for _ in range(n)]
-    for node in nodes:
-        d, _ = dijkstra(graph, node)
-        row = dist[index[node]]
-        for other, value in d.items():
-            row[index[other]] = value
-
-    m = len(distinct)
-    full = (1 << m) - 1
-    INF = math.inf
-    # dp[mask][v] = min cost out-tree rooted at v reaching terminal set mask.
-    dp = [[INF] * n for _ in range(full + 1)]
-    for i, term in enumerate(distinct):
-        ti = index[term]
-        drow = dp[1 << i]
-        for v in range(n):
-            drow[v] = dist[v][ti]
-
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        drow = dp[mask]
-        sub = (mask - 1) & mask
-        while sub:
-            other = mask ^ sub
-            if sub < other:
-                srow, orow = dp[sub], dp[other]
-                for v in range(n):
-                    candidate = srow[v] + orow[v]
-                    if candidate < drow[v]:
-                        drow[v] = candidate
-            sub = (sub - 1) & mask
-        # Closure step with *outgoing* distances: root v may first walk to u.
-        for u in range(n):
-            du = drow[u]
-            if math.isinf(du):
-                continue
-            for v in range(n):
-                candidate = dist[v][u] + du
-                if candidate < drow[v]:
-                    drow[v] = candidate
-    return dp[full][index[root]]
+    D, index = _distance_matrix(graph)
+    return _dreyfus_wagner(D, index, distinct)[index[root]]
 
 
 def _set_partitions(items: List[int]):
@@ -217,15 +192,20 @@ def steiner_forest_exact(
     if len(active) > MAX_FOREST_PAIRS:
         raise ExplosionError("Steiner forest pairs", len(active), MAX_FOREST_PAIRS)
 
+    D, index = _distance_matrix(graph)
+
+    def tree_cost(block: List[int]) -> float:
+        # Each block holds a pair with x != y: two or more terminals.
+        distinct = list(dict.fromkeys(node for i in block for node in active[i]))
+        if len(distinct) == 2:
+            return D[index[distinct[0]]][index[distinct[1]]]
+        return min(_dreyfus_wagner(D, index, distinct))
+
     best = math.inf
-    indices = list(range(len(active)))
-    for partition in _set_partitions(indices):
+    for partition in _set_partitions(list(range(len(active)))):
         total = 0.0
         for block in partition:
-            terminals: List[Node] = []
-            for i in block:
-                terminals.extend(active[i])
-            total += steiner_tree_exact(graph, terminals)
+            total += tree_cost(block)
             if total >= best:
                 break
         best = min(best, total)

@@ -11,10 +11,13 @@ spaces.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..graphs import EdgeId, Graph, Node
+from ..graphs.graph import WeightFunction
 from ..graphs.paths import DEFAULT_MAX_PATHS, path_actions
+from ..graphs.shortest_path import cheapest_path_back
 
 NCSType = Tuple[Node, Node]
 NCSAction = FrozenSet[EdgeId]
@@ -92,3 +95,21 @@ def bought_edges(actions: Tuple[NCSAction, ...]) -> FrozenSet[EdgeId]:
     for action in actions:
         combined |= action
     return frozenset(combined)
+
+
+def cheapest_action(
+    graph: Graph, pair: NCSType, weight: WeightFunction
+) -> Tuple[NCSAction, float]:
+    """``(action, cost)`` of a shortest ``pair`` path under ``weight``.
+
+    Every NCS best response is this query under the agent's fair-share
+    edge weights.  A trivial pair gives ``(EMPTY_ACTION, 0.0)`` and an
+    unreachable one ``(EMPTY_ACTION, math.inf)``.
+    """
+    source, target = pair
+    if source == target:
+        return EMPTY_ACTION, 0.0
+    path, cost = cheapest_path_back(graph, source, target, weight)
+    if path is None:
+        return EMPTY_ACTION, math.inf
+    return frozenset(path), cost

@@ -29,11 +29,19 @@ from .._util import lt
 from ..core.game import BayesianGame, StrategyProfile
 from ..core.measures import IgnoranceReport, ignorance_report
 from ..core.prior import CommonPrior, TypeProfile
+from ..core.strategy import replace_strategy_action
 from ..graphs import EdgeId, Graph
 from ..graphs.paths import DEFAULT_MAX_PATHS
-from ..graphs.shortest_path import dijkstra
+from ..graphs.shortest_path import shortest_path_edges
 from ..graphs.steiner import minimum_connection_cost
-from .actions import EMPTY_ACTION, ActionCatalog, NCSAction, NCSType, edge_loads
+from .actions import (
+    EMPTY_ACTION,
+    ActionCatalog,
+    NCSAction,
+    NCSType,
+    cheapest_action,
+    edge_loads,
+)
 from .game import NCSGame
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -209,26 +217,11 @@ class BayesianNCSGame:
 
         Returns ``(action, interim_cost)``; exact over all of ``2^E``.
         """
-        source, target = ti
-        if source == target:
-            return EMPTY_ACTION, 0.0
-        weights = self.interim_edge_weights(agent, ti, strategies)
-
-        def weight(edge) -> float:
-            return weights[edge.eid]
-
-        dist, parent = dijkstra(self.graph, source, weight=weight, targets=[target])
-        if target not in dist:
-            return EMPTY_ACTION, math.inf
-        path: List[EdgeId] = []
-        node = target
-        while node != source:
-            eid = parent[node]
-            assert eid is not None
-            path.append(eid)
-            edge = self.graph.edge(eid)
-            node = edge.tail if self.graph.directed else edge.other(node)
-        return frozenset(path), dist[target]
+        # A trivial type needs no weights (and may have zero probability).
+        weights = (
+            self.interim_edge_weights(agent, ti, strategies) if ti[0] != ti[1] else {}
+        )
+        return cheapest_action(self.graph, ti, lambda edge: weights[edge.eid])
 
     def is_bayesian_equilibrium(self, strategies: StrategyProfile) -> bool:
         """Interim equilibrium check via shortest-path best responses."""
@@ -243,8 +236,6 @@ class BayesianNCSGame:
     def greedy_profile(self) -> StrategyProfile:
         """Every type buys its raw-cost shortest path (the canonical
         'uncoordinated' profile; also the dynamics seed)."""
-        from ..graphs.shortest_path import shortest_path_edges
-
         strategies: List[Tuple[NCSAction, ...]] = []
         for agent in range(self.num_agents):
             per_type: List[NCSAction] = []
@@ -308,12 +299,9 @@ class BayesianNCSGame:
                     current = self.game.interim_cost(agent, ti, strategies)
                     action, best = self.interim_best_response(agent, ti, strategies)
                     if lt(best, current):
-                        position = self.game.type_position(agent, ti)
-                        mutated = list(strategies[agent])
-                        mutated[position] = action
-                        updated = list(strategies)
-                        updated[agent] = tuple(mutated)
-                        strategies = tuple(updated)
+                        strategies = replace_strategy_action(
+                            self.game, strategies, agent, ti, action
+                        )
                         changed = True
             if not changed:
                 return strategies

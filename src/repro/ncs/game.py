@@ -13,9 +13,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .._util import lt
 from ..graphs import EdgeId, Graph, Node
-from ..graphs.shortest_path import dijkstra, shortest_path_cost
+from ..graphs.shortest_path import shortest_path_cost, shortest_path_edges
 from ..graphs.steiner import minimum_connection_cost
-from .actions import EMPTY_ACTION, ActionCatalog, NCSAction, NCSType, edge_loads
+from .actions import EMPTY_ACTION, NCSAction, NCSType, cheapest_action
 
 
 class NCSGame:
@@ -29,6 +29,12 @@ class NCSGame:
         One ``(source, destination)`` pair per agent.  ``source ==
         destination`` means the agent needs nothing and her cheapest action
         is the empty set.
+
+    The share rule is written once, for the weighted variant
+    (:class:`repro.ncs.weighted.WeightedNCSGame`): agent ``i`` pays
+    ``c(e) * w_i / W_e`` of each bought edge ``e``, where ``W_e`` sums its
+    buyers' weights.  Here every weight is ``1.0``, which is fair sharing
+    ``c(e) / n_e`` bit for bit.
     """
 
     def __init__(
@@ -37,6 +43,7 @@ class NCSGame:
         self.graph = graph
         self.pairs: List[NCSType] = [tuple(pair) for pair in pairs]
         self.name = name
+        self.weights: List[float] = [1.0] * len(self.pairs)
         for x, y in self.pairs:
             if not graph.has_node(x) or not graph.has_node(y):
                 raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown nodes")
@@ -48,11 +55,25 @@ class NCSGame:
     # ------------------------------------------------------------------
     # payments and costs
     # ------------------------------------------------------------------
+    def _weight_loads(
+        self, actions: Tuple[NCSAction, ...], exclude: Optional[int] = None
+    ) -> Dict[EdgeId, float]:
+        """Total buyer weight per edge, optionally skipping one agent."""
+        loads: Dict[EdgeId, float] = {}
+        for agent, action in enumerate(actions):
+            if agent == exclude:
+                continue
+            for eid in action:
+                loads[eid] = loads.get(eid, 0.0) + self.weights[agent]
+        return loads
+
     def payment(self, agent: int, actions: Tuple[NCSAction, ...]) -> float:
-        """Total (fair-share) payment of ``agent``, regardless of feasibility."""
-        loads = edge_loads(actions)
+        """Total (weighted-share) payment of ``agent``, regardless of
+        feasibility."""
+        loads = self._weight_loads(actions)
+        w_i = self.weights[agent]
         return sum(
-            self.graph.edge(eid).cost / loads[eid] for eid in actions[agent]
+            self.graph.edge(eid).cost * w_i / loads[eid] for eid in actions[agent]
         )
 
     def is_feasible_for(self, agent: int, action: NCSAction) -> bool:
@@ -86,36 +107,18 @@ class NCSGame:
         """The cheapest action of ``agent`` against the others.
 
         With others fixed, buying edge ``e`` costs
-        ``c(e) / (1 + others_on(e))``; the optimal action is a shortest
-        path under those weights (the empty set for a trivial pair).
-        Returns ``(action, cost)``.
+        ``c(e) * w_i / (w_i + W_e^{-i})`` (``c(e) / (1 + others_on(e))`` at
+        unit weights), additive over edges, so the optimal action is a
+        shortest path under those weights (the empty set for a trivial
+        pair).  Returns ``(action, cost)``.
         """
-        source, target = self.pairs[agent]
-        if source == target:
-            return EMPTY_ACTION, 0.0
-        others = edge_loads(
-            tuple(
-                action
-                for j, action in enumerate(actions)
-                if j != agent
-            )
-        )
+        others = self._weight_loads(actions, exclude=agent)
+        w_i = self.weights[agent]
 
         def weight(edge) -> float:
-            return edge.cost / (1 + others.get(edge.eid, 0))
+            return edge.cost * w_i / (w_i + others.get(edge.eid, 0.0))
 
-        dist, parent = dijkstra(self.graph, source, weight=weight, targets=[target])
-        if target not in dist:
-            return EMPTY_ACTION, math.inf
-        path: List[EdgeId] = []
-        node = target
-        while node != source:
-            eid = parent[node]
-            assert eid is not None
-            path.append(eid)
-            edge = self.graph.edge(eid)
-            node = edge.tail if self.graph.directed else edge.other(node)
-        return frozenset(path), dist[target]
+        return cheapest_action(self.graph, self.pairs[agent], weight)
 
     def is_nash_equilibrium(self, actions: Tuple[NCSAction, ...]) -> bool:
         """Exact Nash check using shortest-path best responses.
@@ -137,11 +140,24 @@ class NCSGame:
     ) -> Tuple[NCSAction, ...]:
         """Iterated best responses; converges by Rosenthal's potential."""
         if initial is None:
-            actions = tuple(
+            initial = tuple(
                 self.shortest_path_action(agent) for agent in range(self.num_agents)
             )
-        else:
-            actions = tuple(initial)
+        actions = self._improve(initial, max_rounds)
+        if actions is None:
+            raise RuntimeError(
+                "best-response dynamics did not converge (should be impossible "
+                "in a congestion game)"
+            )
+        return actions
+
+    def _improve(
+        self, initial: Tuple[NCSAction, ...], max_rounds: int
+    ) -> Optional[Tuple[NCSAction, ...]]:
+        """Rounds of strict best-response moves from ``initial``, agent by
+        agent, until a round moves nobody; ``None`` when every one of the
+        ``max_rounds`` rounds moved somebody."""
+        actions = tuple(initial)
         for _ in range(max_rounds):
             changed = False
             for agent in range(self.num_agents):
@@ -154,18 +170,13 @@ class NCSGame:
                     changed = True
             if not changed:
                 return actions
-        raise RuntimeError(
-            "best-response dynamics did not converge (should be impossible "
-            "in a congestion game)"
-        )
+        return None
 
     def shortest_path_action(self, agent: int) -> NCSAction:
         """The raw-cost shortest path of ``agent``'s pair (greedy seed)."""
         source, target = self.pairs[agent]
         if source == target:
             return EMPTY_ACTION
-        from ..graphs.shortest_path import shortest_path_edges
-
         path = shortest_path_edges(self.graph, source, target)
         if path is None:
             raise ValueError(f"pair ({source!r}, {target!r}) is disconnected")
@@ -175,7 +186,8 @@ class NCSGame:
     # optima and distances
     # ------------------------------------------------------------------
     def optimum_cost(self) -> float:
-        """``min_a K(a)``: the exact minimum connecting-subgraph cost."""
+        """``min_a K(a)``: the exact minimum connecting-subgraph cost (the
+        same at any weights: sharing only transfers cost)."""
         return minimum_connection_cost(self.graph, self.pairs)
 
     def distance(self, agent: int) -> float:

@@ -16,7 +16,7 @@ from .._util import lt
 from ..core.game import StrategyProfile
 from ..core.measures import opt_p as core_opt_p
 from ..core.session import GameSession
-from ..core.strategy import DEFAULT_MAX_PROFILES
+from ..core.strategy import DEFAULT_MAX_PROFILES, replace_strategy_action
 from .bayesian import BayesianNCSGame
 
 
@@ -60,26 +60,21 @@ def benevolent_descent(
         changed = False
         for agent in range(game.num_agents):
             for ti in game.prior.positive_types(agent):
-                position = core.type_position(agent, ti)
-                best_action = strategies[agent][position]
-                best_cost = current
+                held = strategies[agent][core.type_position(agent, ti)]
+                best_action, best_cost = held, current
                 for action in core.feasible_actions(agent, ti):
-                    if action == strategies[agent][position]:
+                    if action == held:
                         continue
-                    mutated_strategy = list(strategies[agent])
-                    mutated_strategy[position] = action
-                    candidate = list(strategies)
-                    candidate[agent] = tuple(mutated_strategy)
-                    cost = game.social_cost(tuple(candidate))
+                    cost = game.social_cost(
+                        replace_strategy_action(core, strategies, agent, ti, action)
+                    )
                     if lt(cost, best_cost):
                         best_cost = cost
                         best_action = action
-                if best_action != strategies[agent][position]:
-                    mutated_strategy = list(strategies[agent])
-                    mutated_strategy[position] = best_action
-                    updated = list(strategies)
-                    updated[agent] = tuple(mutated_strategy)
-                    strategies = tuple(updated)
+                if best_action != held:
+                    strategies = replace_strategy_action(
+                        core, strategies, agent, ti, best_action
+                    )
                     current = best_cost
                     changed = True
         if not changed:

@@ -4,9 +4,12 @@ The paper notes (footnote 5) that Albers exhibits ``o(1)`` price of
 stability for a *weighted* NCS variant: agent ``i`` carries weight
 ``w_i`` and pays the fraction ``w_i / W_e`` of each bought edge, where
 ``W_e`` sums the weights of the edge's buyers.  Unweighted NCS is the
-``w_i = 1`` special case.
+``w_i = 1`` special case, so :class:`WeightedNCSGame` is an
+:class:`repro.ncs.game.NCSGame` with its own weights: the share rule,
+costs, shortest-path best responses and the Nash check are the base
+class's, written once for arbitrary weights.
 
-Two structural facts drive the implementation:
+Two structural facts drive what the subclass adds:
 
 * Best responses are still shortest-path computations — agent ``i``'s
   marginal cost for edge ``e`` is ``c(e) * w_i / (w_i + W_e^{-i})``,
@@ -14,23 +17,23 @@ Two structural facts drive the implementation:
 * Unlike the unweighted game, weighted cost sharing is **not** an exact
   potential game in general and pure Nash equilibria may fail to exist
   for three or more agents; the dynamics therefore carry an explicit
-  round limit and the equilibrium enumeration reports an empty set
-  rather than assuming existence (the tests exercise both outcomes).
+  round limit and return ``None`` on non-convergence, and the
+  equilibrium enumeration reports an empty set rather than assuming
+  existence (the tests exercise both outcomes).
 """
 
 from __future__ import annotations
 
-import math
 from itertools import product as cartesian_product
 from typing import List, Optional, Sequence, Tuple
 
-from .._util import ExplosionError, lt, product_size
-from ..graphs import EdgeId, Graph
-from ..graphs.shortest_path import dijkstra
+from .._util import ExplosionError, product_size
+from ..graphs import Graph
 from .actions import EMPTY_ACTION, ActionCatalog, NCSAction, NCSType
+from .game import NCSGame
 
 
-class WeightedNCSGame:
+class WeightedNCSGame(NCSGame):
     """A complete-information NCS game with weighted fair sharing."""
 
     def __init__(
@@ -44,87 +47,8 @@ class WeightedNCSGame:
             raise ValueError("one weight per agent is required")
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        self.graph = graph
-        self.pairs: List[NCSType] = [tuple(pair) for pair in pairs]
-        self.weights: List[float] = [float(w) for w in weights]
-        self.name = name
-        for x, y in self.pairs:
-            if not graph.has_node(x) or not graph.has_node(y):
-                raise ValueError(f"pair ({x!r}, {y!r}) mentions unknown nodes")
-
-    @property
-    def num_agents(self) -> int:
-        return len(self.pairs)
-
-    # ------------------------------------------------------------------
-    def _edge_weight_loads(
-        self, actions: Tuple[NCSAction, ...], exclude: Optional[int] = None
-    ):
-        """Total buyer weight per edge, optionally skipping one agent."""
-        loads = {}
-        for agent, action in enumerate(actions):
-            if agent == exclude:
-                continue
-            for eid in action:
-                loads[eid] = loads.get(eid, 0.0) + self.weights[agent]
-        return loads
-
-    def cost(self, agent: int, actions: Tuple[NCSAction, ...]) -> float:
-        """Weighted share sum when connected, ``inf`` otherwise."""
-        source, target = self.pairs[agent]
-        if not self.graph.connects(
-            source, target, allowed_edges=set(actions[agent])
-        ):
-            return math.inf
-        loads = self._edge_weight_loads(actions)
-        return sum(
-            self.graph.edge(eid).cost * self.weights[agent] / loads[eid]
-            for eid in actions[agent]
-        )
-
-    def social_cost(self, actions: Tuple[NCSAction, ...]) -> float:
-        total = 0.0
-        for agent in range(self.num_agents):
-            c = self.cost(agent, actions)
-            if math.isinf(c):
-                return math.inf
-            total += c
-        return total
-
-    # ------------------------------------------------------------------
-    def best_response(
-        self, agent: int, actions: Tuple[NCSAction, ...]
-    ) -> Tuple[NCSAction, float]:
-        """Shortest path under marginal weighted shares."""
-        source, target = self.pairs[agent]
-        if source == target:
-            return EMPTY_ACTION, 0.0
-        others = self._edge_weight_loads(actions, exclude=agent)
-        w_i = self.weights[agent]
-
-        def weight(edge) -> float:
-            return edge.cost * w_i / (w_i + others.get(edge.eid, 0.0))
-
-        dist, parent = dijkstra(self.graph, source, weight=weight, targets=[target])
-        if target not in dist:
-            return EMPTY_ACTION, math.inf
-        path: List[EdgeId] = []
-        node = target
-        while node != source:
-            eid = parent[node]
-            assert eid is not None
-            path.append(eid)
-            edge = self.graph.edge(eid)
-            node = edge.tail if self.graph.directed else edge.other(node)
-        return frozenset(path), dist[target]
-
-    def is_nash_equilibrium(self, actions: Tuple[NCSAction, ...]) -> bool:
-        for agent in range(self.num_agents):
-            current = self.cost(agent, actions)
-            _, best = self.best_response(agent, actions)
-            if lt(best, current):
-                return False
-        return True
+        super().__init__(graph, pairs, name=name)
+        self.weights = [float(w) for w in weights]
 
     def best_response_dynamics(
         self,
@@ -134,29 +58,16 @@ class WeightedNCSGame:
         """Iterated best responses; returns ``None`` on non-convergence.
 
         Weighted games need not converge (no exact potential); callers
-        must handle the ``None`` case.
+        must handle the ``None`` case.  The default start is each agent's
+        first cataloged path.
         """
         if initial is None:
             catalog = ActionCatalog(self.graph)
-            actions = tuple(
+            initial = tuple(
                 catalog.actions_for(pair)[0] if pair[0] != pair[1] else EMPTY_ACTION
                 for pair in self.pairs
             )
-        else:
-            actions = tuple(initial)
-        for _ in range(max_rounds):
-            changed = False
-            for agent in range(self.num_agents):
-                current = self.cost(agent, actions)
-                best_action, best_cost = self.best_response(agent, actions)
-                if lt(best_cost, current):
-                    mutated = list(actions)
-                    mutated[agent] = best_action
-                    actions = tuple(mutated)
-                    changed = True
-            if not changed:
-                return actions
-        return None
+        return self._improve(initial, max_rounds)
 
     def nash_equilibria(
         self, max_profiles: int = 2_000_000
@@ -172,12 +83,6 @@ class WeightedNCSGame:
             for combo in cartesian_product(*spaces)
             if self.is_nash_equilibrium(tuple(combo))
         ]
-
-    def optimum_cost(self) -> float:
-        """Same optimum as the unweighted game (sharing is a transfer)."""
-        from ..graphs.steiner import minimum_connection_cost
-
-        return minimum_connection_cost(self.graph, self.pairs)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

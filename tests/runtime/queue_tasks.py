@@ -27,6 +27,13 @@ def failing_unit(k: int, poison: int) -> float:
     return float(k + 100)
 
 
+def exploding_unit(k: int) -> float:
+    """Raises the package's guard error, as an over-large unit would."""
+    from repro import ExplosionError
+
+    raise ExplosionError("strategy profiles", 8 * k, 1)
+
+
 def blocking_unit(k: int, sentinel_dir: str, timeout: float = 60.0) -> float:
     """Announce start, then block until released (or time out).
 

@@ -113,6 +113,22 @@ class TestPoolParity:
         _, cold = run_units(units, jobs=1, cache=cache)
         assert cold.cache_hits == 3
 
+    def test_worker_guard_error_reaches_caller(self):
+        """A unit that raises ``ExplosionError`` in a process worker
+        surfaces as that error, fields intact, not as a broken pool."""
+        from repro import ExplosionError
+
+        units = [
+            UnitTask(task="queue_tasks:exploding_unit", params=(("k", k),))
+            for k in (1, 2)
+        ]
+        with pytest.raises(ExplosionError) as caught:
+            run_units(units, jobs=2, backend="process")
+        error = caught.value
+        assert (error.what, error.limit) == ("strategy profiles", 1)
+        assert error.size in (8, 16)
+        assert str(error) == str(ExplosionError(error.what, error.size, error.limit))
+
     def test_executed_units_record_timings(self):
         results, stats = run_units([bliss_unit(4)], jobs=1)
         assert all(result.seconds >= 0.0 for result in results)

@@ -121,3 +121,13 @@ class TestProductSizeAndErrors:
         assert error.size == 1e9
         assert error.limit == 1e6
         assert "widgets" in str(error)
+
+    def test_explosion_error_survives_pickling(self):
+        import pickle
+
+        error = ExplosionError("strategy profiles", 8, 1)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is ExplosionError
+        assert (copy.what, copy.size, copy.limit) == ("strategy profiles", 8, 1)
+        assert str(copy) == str(error)
+        assert copy.args == error.args
